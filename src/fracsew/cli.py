@@ -177,8 +177,7 @@ def _sample_from_cfg(cfg: dict) -> tuple[FbmConfig, "np.ndarray"]:
     return config, sample_fbm(config, method=cfg["method"])
 
 
-def cmd_sample(cfg: dict, out_dir: str, threads: int | None = None) -> int:
-    del threads
+def cmd_sample(cfg: dict, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     meta = _meta("sample", cfg)
     _, path = _sample_from_cfg(cfg)
@@ -219,8 +218,7 @@ def read_summary(file_path: str) -> dict:
     return out
 
 
-def cmd_localtime(cfg: dict, out_dir: str, threads: int | None = None) -> int:
-    del threads
+def cmd_localtime(cfg: dict, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     meta = _meta("localtime", cfg)
     if cfg["estimator"] != "all" and cfg["estimator"] not in _CURVE_TAGS:
@@ -282,10 +280,8 @@ def _resolve_germ(cfg: dict) -> Germ:
         p = cfg.get("p", 1.0 / hurst)
         return variation_germ(p)
     if spec == "additive":
-        def batch(path, lefts, rights):
-            return np.asarray(rights, dtype=float) - np.asarray(lefts, dtype=float)
-        return Germ(name="additive",
-                    fn=lambda path, s, t: float(t - s), batch=batch)
+        return Germ(name="additive", batch=lambda path, lefts, rights:
+                    np.asarray(rights, dtype=float) - np.asarray(lefts, dtype=float))
     if spec == "upcross":
         return upcross_germ(cfg["a"], cfg["gamma"])
     if spec.startswith("ito:"):
@@ -297,7 +293,7 @@ def _resolve_germ(cfg: dict) -> Germ:
         "ito:<integrand>, or strat:<integrand>")
 
 
-def cmd_rate(cfg: dict, out_dir: str, threads: int | None = None) -> int:
+def cmd_rate(cfg: dict, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     meta = _meta("rate", cfg)
     levels = _parse_level_list(cfg["levels"])
@@ -310,7 +306,7 @@ def cmd_rate(cfg: dict, out_dir: str, threads: int | None = None) -> int:
                        seed=cfg["seed"])
     fit = estimate_convergence_rate(germ, config, levels, m=cfg["m"],
                                     replicas=cfg["replicas"],
-                                    method=cfg["method"], threads=threads)
+                                    method=cfg["method"])
     write_rate_csv(os.path.join(out_dir, "rate.csv"), fit, meta)
 
     values = np.array([e.value for e in fit.lm_distances])
@@ -332,7 +328,7 @@ def cmd_rate(cfg: dict, out_dir: str, threads: int | None = None) -> int:
     return 0
 
 
-def cmd_sde(cfg: dict, out_dir: str, threads: int | None = None) -> int:
+def cmd_sde(cfg: dict, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     meta = _meta("sde", cfg)
     mode = cfg["mode"]
@@ -371,7 +367,7 @@ def cmd_sde(cfg: dict, out_dir: str, threads: int | None = None) -> int:
             mesh_levels=tuple(_parse_level_list(cfg["levels"])),
             scales=tuple(_parse_scales(cfg["scales"])),
             replicas=cfg["replicas"], seed=cfg["seed"],
-            horizon=cfg["horizon"], coeffs=coeffs, threads=threads)
+            horizon=cfg["horizon"], coeffs=coeffs)
         write_probe_csv(os.path.join(out_dir, "probe.csv"), report, meta)
         print(f"wrote probe.csv: final={report.max_final_distance:.4g} "
               f"decay={report.fitted_decay:.4g} plateau_free={report.plateau_free}")
@@ -444,17 +440,6 @@ def cmd_report(out_dir: str) -> int:
     return 1 if failures else 0
 
 
-def _resolve_threads(cli_threads: int | None) -> int | None:
-    env = os.environ.get("FRACSEW_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"FRACSEW_THREADS must be an integer, got {env!r}") from exc
-    return cli_threads
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracsew",
@@ -472,8 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="flat key=value config file")
         sp.add_argument("--out", required=True, help="output directory")
         sp.add_argument("--seed", type=int, help="override the config seed")
-        sp.add_argument("--threads", type=int,
-                        help="worker threads for Monte Carlo commands")
         sp.add_argument("--preset", choices=sorted(PRESETS),
                         help="named built-in configuration")
     rp = sub.add_parser("report", help="aggregate checks over an output directory")
@@ -494,9 +477,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args.out)
-        threads = _resolve_threads(args.threads)
         cfg = effective_config(args.command, args.preset, args.config, args.seed)
-        return _DISPATCH[args.command](cfg, args.out, threads)
+        return _DISPATCH[args.command](cfg, args.out)
     except (ConfigurationError, DomainError, AlignmentError,
             CapabilityError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -141,12 +141,14 @@ class FbmConfig:
 
     def __post_init__(self) -> None:
         _check_hurst(self.hurst)
-        if not self.horizon > 0.0:
-            raise ConfigurationError(f"horizon must be positive, got {self.horizon!r}")
+        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
+            raise ConfigurationError(
+                f"horizon must be positive and finite, got {self.horizon!r}")
         if not (isinstance(self.grid_n, int) and self.grid_n >= 1):
             raise ConfigurationError(f"grid_n must be an integer >= 1, got {self.grid_n!r}")
-        if self.var0 < 0.0:
-            raise ConfigurationError(f"var0 must be nonnegative, got {self.var0!r}")
+        if not (self.var0 >= 0.0 and math.isfinite(self.var0)):
+            raise ConfigurationError(
+                f"var0 must be nonnegative and finite, got {self.var0!r}")
         if not (isinstance(self.dim, int) and self.dim >= 1):
             raise ConfigurationError(f"dim must be an integer >= 1, got {self.dim!r}")
         as_seed_spec(self.seed)
@@ -367,16 +369,30 @@ def sample_fbm(config: FbmConfig, method: str = "circulant",
 # conditional structure of one increment given the past
 
 
-def _kernel_cross_integral(v: float, s: float, t: float, hurst: float,
-                           tol: float) -> float:
-    """integral over [v, s] of K(s,r) K(t,r) dr for 0 <= v < s <= t."""
-    H = hurst
-    if t == s:
-        return (s - v) ** (2 * H) / (2 * H)
-    if H == 0.5:
-        return s - v
-    fn = lambda r: (s - r) ** (H - 0.5) * (t - r) ** (H - 0.5)
-    return adaptive_quad(fn, v, s, tol=tol, singularity="upper").value
+def _window_integral(length: float, gap: float, hurst: float, power: int,
+                     tol: float) -> float:
+    """Integral over [0, length] of x^(2a) ((1 + gap/x)^a - 1)^power, a = H - 1/2.
+
+    With x = s - r, gap = t - s, length = s - v and D(r) = K(t,r) - K(s,r),
+    power 1 integrates K(s,r) D(r) over [v, s], the conditional covariance
+    of B_s with the increment; power 2 integrates D(r)^2, the part of the
+    increment's conditional variance that comes from [v, s].
+    (1 + gap/x)^a - 1 goes through expm1/log1p, so D keeps its relative
+    precision where gap << x; the range is cut at gap, 4 gap, 16 gap, ...
+    so the quadrature resolves the scale gap however small it is.
+    """
+    a = hurst - 0.5
+    if gap == 0.0 or a == 0.0:
+        return 0.0
+    fn = lambda x: x ** (2 * a) * math.expm1(a * math.log1p(gap / x)) ** power
+    edges = [0.0, min(gap, length)]
+    while edges[-1] < length:
+        edges.append(min(4.0 * edges[-1], length))
+    piece_tol = tol / (len(edges) - 1)
+    total = adaptive_quad(fn, 0.0, edges[1], tol=piece_tol, singularity="lower").value
+    for lo, hi in zip(edges[1:-1], edges[2:]):
+        total += adaptive_quad(fn, lo, hi, tol=piece_tol).value
+    return total
 
 
 @dataclass(frozen=True)
@@ -407,20 +423,18 @@ def conditional_increment_moments(v: float, s: float, t: float, hurst: float,
     """Exact conditional moments over the window that starts at v.
 
     The conditional variance of B_s is closed-form, (s-v)^(2H) / (2H); the
-    cross term comes from adaptive quadrature of the kernel product.
+    covariance and the increment's variance integrate the kernel difference
+    K(t,r) - K(s,r) over [v, s] by adaptive quadrature (see
+    :func:`_window_integral`), so neither is a difference of two nearly
+    equal numbers when t - s is small.
     """
     H = _check_hurst(hurst)
     if not (0.0 <= v < s <= t):
         raise DomainError(f"need 0 <= v < s <= t, got ({v!r}, {s!r}, {t!r})")
     sigma_s_sq = (s - v) ** (2 * H) / (2 * H)
-    sigma_t_sq = (t - v) ** (2 * H) / (2 * H)
-    cross = _kernel_cross_integral(v, s, t, H, tol)
-    rho_st = cross - sigma_s_sq
-    sigma_st_sq = sigma_t_sq - 2.0 * cross + sigma_s_sq
-    if sigma_st_sq < -1e-10 * sigma_t_sq:
-        raise NumericalError(
-            f"conditional increment variance came out negative ({sigma_st_sq:g})")
-    sigma_st_sq = max(sigma_st_sq, 0.0)
+    rho_st = _window_integral(s - v, t - s, H, 1, tol)
+    sigma_st_sq = (_window_integral(s - v, t - s, H, 2, tol)
+                   + (t - s) ** (2 * H) / (2 * H))
     kappa = sigma_st_sq - rho_st * rho_st / sigma_s_sq
     if kappa < -1e-10 * max(sigma_st_sq, 1e-300):
         raise NumericalError(
@@ -458,7 +472,7 @@ def kernel_correlation(v: float, s: float, t: float, hurst: float,
     if t == s:
         value = (s - v) ** (2 * H) / (2 * H)
         return KernelCorrelation(value=value, asymptotic=value, remainder=0.0)
-    value = _kernel_cross_integral(v, s, t, H, tol)
+    value = (s - v) ** (2 * H) / (2 * H) + _window_integral(s - v, t - s, H, 1, tol)
     asym = ((s - v) ** (2 * H) / (2 * H)
             + 0.5 * (s - v) ** (2 * H - 1) * (t - s)
             - 0.5 * c_h(H) * (t - s) ** (2 * H))

@@ -10,7 +10,6 @@ branching a non-unique equation would produce.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -455,8 +454,7 @@ def uniqueness_probe(hurst: float, delta: float, *, x0: float = 0.1,
                      scales: tuple[float, ...] = (2 ** -4, 2 ** -5, 2 ** -6, 2 ** -7, 2 ** -8),
                      replicas: int = 20, seed: int = 0, horizon: float = 1.0,
                      coeffs: CoefficientPair | None = None,
-                     quad_order: int = 32,
-                     threads: int | None = None) -> ProbeReport:
+                     quad_order: int = 32) -> ProbeReport:
     """Joint refinement/mollification probe for pathwise uniqueness.
 
     For each replica (one driving path), solves the equation on every
@@ -499,21 +497,12 @@ def uniqueness_probe(hurst: float, delta: float, *, x0: float = 0.1,
                                            order=quad_order)
                     for s in scales}
     cells = [(lev, sc) for lev in levels for sc in scales]
-
-    def solve_cell(cell: tuple[int, float]) -> np.ndarray:
-        lev, sc = cell
+    trajs = {}
+    for lev, sc in cells:
         stride = 2 ** (finest - lev)
-        sub = stack[::stride]
-        dtv = np.diff(times[::stride])
-        dbv = np.diff(sub, axis=0)
         pair = replace(coeffs, diffusion=smooth_sigma[sc])
-        return _batched_euler(pair, x0_state, dtv, dbv)
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajs = dict(zip(cells, pool.map(solve_cell, cells)))
-    else:
-        trajs = {cell: solve_cell(cell) for cell in cells}
+        trajs[lev, sc] = _batched_euler(pair, x0_state, np.diff(times[::stride]),
+                                        np.diff(stack[::stride], axis=0))
 
     rows = []
     for i, cell_a in enumerate(cells):

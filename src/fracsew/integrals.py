@@ -24,7 +24,7 @@ from .fbm import (FbmPath, c_h, conditional_increment_moments,
                   kernel_cell_weights)
 from .numerics import (McEstimate, adaptive_quad, gauss_hermite_expect,
                        mc_mean, normal_abs_moment, split_seed)
-from .sewing import Germ, Partition, SewingExponents
+from .sewing import Germ, Partition, SewingExponents, riemann_sum
 
 __all__ = [
     "IntegrandSpec",
@@ -106,13 +106,10 @@ def get_integrand(tag: str) -> IntegrandSpec:
     raise ConfigurationError(f"unknown integrand tag {tag!r}")
 
 
-def _endpoint_values(f: IntegrandSpec, path: FbmPath, partition: Partition):
+def _check_dim(f: IntegrandSpec, path: FbmPath) -> None:
     if f.dim != path.dim:
         raise DomainError(
             f"integrand dimension {f.dim} does not match path dimension {path.dim}")
-    idx = path.indices_of(partition.breakpoints)
-    vals = path.values[idx]
-    return vals[:-1], vals[1:]
 
 
 def ito_left_sum(f: IntegrandSpec, path: FbmPath, partition: Partition) -> float:
@@ -125,11 +122,8 @@ def ito_left_sum(f: IntegrandSpec, path: FbmPath, partition: Partition) -> float
     if path.hurst <= 0.5:
         warnings.warn("left-point sums are outside their guaranteed regime "
                       f"for hurst={path.hurst}", RegimeWarning, stacklevel=2)
-    left, right = _endpoint_values(f, path, partition)
-    fv = np.asarray(f.fn(left), dtype=float)
-    inc = right - left
-    terms = fv * inc if path.dim == 1 else np.sum(fv * inc, axis=1)
-    return float(math.fsum(terms))
+    _check_dim(f, path)
+    return riemann_sum(ito_germ(f), path, partition)
 
 
 def stratonovich_trapezoid_sum(f: IntegrandSpec, path: FbmPath,
@@ -147,23 +141,13 @@ def stratonovich_trapezoid_sum(f: IntegrandSpec, path: FbmPath,
     if path.hurst <= 1.0 / 6.0:
         warnings.warn("trapezoid sums are outside their guaranteed regime "
                       f"for hurst={path.hurst}", RegimeWarning, stacklevel=2)
-    left, right = _endpoint_values(f, path, partition)
-    fv = 0.5 * (np.asarray(f.fn(left), dtype=float)
-                + np.asarray(f.fn(right), dtype=float))
-    inc = right - left
-    terms = fv * inc if path.dim == 1 else np.sum(fv * inc, axis=1)
-    return float(math.fsum(terms))
+    _check_dim(f, path)
+    return riemann_sum(stratonovich_germ(f), path, partition)
 
 
 def variation_sum(path: FbmPath, partition: Partition, p: float) -> float:
     """Power-variation sum: sum of |B_t - B_s|^p over partition intervals."""
-    if not p > 0.0:
-        raise DomainError(f"variation order must be positive, got {p!r}")
-    idx = path.indices_of(partition.breakpoints)
-    vals = path.values[idx]
-    inc = np.diff(vals, axis=0)
-    mag = np.abs(inc) if path.dim == 1 else np.sqrt(np.sum(inc * inc, axis=1))
-    return float(math.fsum(mag ** p))
+    return riemann_sum(variation_germ(p), path, partition)
 
 
 def variation_reference(hurst: float, horizon: float) -> float:
@@ -316,6 +300,15 @@ def conditional_mc_check(f: IntegrandSpec, path: FbmPath,
 # germ adapters for the convergence-rate harness
 
 
+def _endpoints(path: FbmPath, lefts: np.ndarray, rights: np.ndarray):
+    """Path values at the left and right ends of each interval."""
+    return path.values[path.indices_of(lefts)], path.values[path.indices_of(rights)]
+
+
+def _dot(fv: np.ndarray, inc: np.ndarray, dim: int) -> np.ndarray:
+    return fv * inc if dim == 1 else np.sum(fv * inc, axis=1)
+
+
 def ito_germ(f: IntegrandSpec, hurst: float | None = None) -> Germ:
     """Left-point germ f(B_s)(B_t - B_s) for the rate harness (scalar f).
 
@@ -325,20 +318,14 @@ def ito_germ(f: IntegrandSpec, hurst: float | None = None) -> Germ:
     these satisfy the harness inequalities exactly when hurst > 1/2.
     """
     def batch(path: FbmPath, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        li = path.indices_of(lefts)
-        ri = path.indices_of(rights)
-        bs = path.values[li]
-        bt = path.values[ri]
-        fv = np.asarray(f.fn(bs), dtype=float)
-        return fv * (bt - bs) if path.dim == 1 else np.sum(fv * (bt - bs), axis=1)
+        bs, bt = _endpoints(path, lefts, rights)
+        return _dot(np.asarray(f.fn(bs), dtype=float), bt - bs, path.dim)
 
     expo = None
     if hurst is not None:
         expo = SewingExponents(alpha=hurst, beta1=2.0 * hurst, beta2=hurst,
                                m=2.0)
-    return Germ(name=f"ito[{f.name}]",
-                fn=lambda path, s, t: float(batch(path, np.array([s]), np.array([t]))[0]),
-                batch=batch, exponents=expo)
+    return Germ(name=f"ito[{f.name}]", batch=batch, exponents=expo)
 
 
 def stratonovich_germ(f: IntegrandSpec, hurst: float | None = None) -> Germ:
@@ -348,22 +335,17 @@ def stratonovich_germ(f: IntegrandSpec, hurst: float | None = None) -> Germ:
     germ carries size hurst and coherence (1+gamma)*hurst exponents.
     """
     def batch(path: FbmPath, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        li = path.indices_of(lefts)
-        ri = path.indices_of(rights)
-        bs = path.values[li]
-        bt = path.values[ri]
+        bs, bt = _endpoints(path, lefts, rights)
         fv = 0.5 * (np.asarray(f.fn(bs), dtype=float)
                     + np.asarray(f.fn(bt), dtype=float))
-        return fv * (bt - bs) if path.dim == 1 else np.sum(fv * (bt - bs), axis=1)
+        return _dot(fv, bt - bs, path.dim)
 
     expo = None
     if hurst is not None:
         gamma = f.holder_gamma if f.holder_gamma is not None else 1.0
         expo = SewingExponents(alpha=hurst, beta1=(1.0 + gamma) * hurst,
                                beta2=(1.0 + gamma) * hurst / 2.0, m=2.0)
-    return Germ(name=f"strat[{f.name}]",
-                fn=lambda path, s, t: float(batch(path, np.array([s]), np.array([t]))[0]),
-                batch=batch, exponents=expo)
+    return Germ(name=f"strat[{f.name}]", batch=batch, exponents=expo)
 
 
 def variation_germ(p: float) -> Germ:
@@ -372,12 +354,9 @@ def variation_germ(p: float) -> Germ:
         raise DomainError(f"variation order must be positive, got {p!r}")
 
     def batch(path: FbmPath, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        li = path.indices_of(lefts)
-        ri = path.indices_of(rights)
-        inc = path.values[ri] - path.values[li]
+        bs, bt = _endpoints(path, lefts, rights)
+        inc = bt - bs
         mag = np.abs(inc) if path.dim == 1 else np.sqrt(np.sum(inc * inc, axis=1))
         return mag ** p
 
-    return Germ(name=f"variation[p={p:g}]",
-                fn=lambda path, s, t: float(batch(path, np.array([s]), np.array([t]))[0]),
-                batch=batch)
+    return Germ(name=f"variation[p={p:g}]", batch=batch)

@@ -101,21 +101,25 @@ def _crossing_arrays(path: FbmPath, partition: Partition):
     return vals[:-1], vals[1:], dt
 
 
+def _crossing_weight(dt: np.ndarray, inc: np.ndarray, hurst: float,
+                     gamma: float) -> np.ndarray:
+    """(t-s)^(1-(1+gamma)H) |B_t - B_s|^gamma for each crossing interval."""
+    w = dt ** (1.0 - (1.0 + gamma) * hurst)
+    if gamma != 0.0:
+        w = w * np.abs(inc) ** gamma
+    return w
+
+
 def _weighted_crossing_sum(path: FbmPath, partition: Partition, a: float,
                            gamma: float, direction: str) -> float:
     if not gamma >= 0.0:
         raise DomainError(f"gamma must be nonnegative, got {gamma!r}")
     left, right, dt = _crossing_arrays(path, partition)
-    if direction == "up":
-        mask = (left < a) & (a < right)
-    else:
-        mask = (right < a) & (a < left)
+    low, high = (left, right) if direction == "up" else (right, left)
+    mask = (low < a) & (a < high)
     if not np.any(mask):
         return 0.0
-    H = path.hurst
-    w = dt[mask] ** (1.0 - (1.0 + gamma) * H)
-    if gamma != 0.0:
-        w = w * np.abs(right[mask] - left[mask]) ** gamma
+    w = _crossing_weight(dt[mask], right[mask] - left[mask], path.hurst, gamma)
     return float(math.fsum(w))
 
 
@@ -260,23 +264,16 @@ def _range_accumulate(lo_idx: np.ndarray, hi_idx: np.ndarray,
     return np.maximum(out, 0.0)
 
 
-def _upcross_curve_values(left, right, dt, hurst, gamma, levels):
-    keep = right > left
-    lo = np.searchsorted(levels, left[keep], side="right")
-    hi = np.searchsorted(levels, right[keep], side="left")
-    w = dt[keep] ** (1.0 - (1.0 + gamma) * hurst)
-    if gamma != 0.0:
-        w = w * (right[keep] - left[keep]) ** gamma
-    return _range_accumulate(lo, hi, w, levels.size)
+def _crossing_curve_values(low, high, dt, hurst, gamma, levels):
+    """Crossing weights of the intervals running from ``low`` up to ``high``,
+    accumulated over the levels strictly between the two ends.
 
-
-def _downcross_curve_values(left, right, dt, hurst, gamma, levels):
-    keep = left > right
-    lo = np.searchsorted(levels, right[keep], side="right")
-    hi = np.searchsorted(levels, left[keep], side="left")
-    w = dt[keep] ** (1.0 - (1.0 + gamma) * hurst)
-    if gamma != 0.0:
-        w = w * (left[keep] - right[keep]) ** gamma
+    Up-crossings pass (left, right); down-crossings pass (right, left).
+    """
+    keep = high > low
+    lo = np.searchsorted(levels, low[keep], side="right")
+    hi = np.searchsorted(levels, high[keep], side="left")
+    w = _crossing_weight(dt[keep], high[keep] - low[keep], hurst, gamma)
     return _range_accumulate(lo, hi, w, levels.size)
 
 
@@ -334,16 +331,16 @@ def local_time_curve(path: FbmPath, partition: Partition, estimator: str,
 
     left, right, dt = _crossing_arrays(path, partition)
     if estimator == "upcross":
-        values = _upcross_curve_values(left, right, dt, H, gamma, levels)
+        values = _crossing_curve_values(left, right, dt, H, gamma, levels)
         scale = frak_c(H, gamma) if normalized else 1.0
         tag = f"upcross(gamma={gamma:g})"
     elif estimator == "bidirectional":
-        values = (_upcross_curve_values(left, right, dt, H, gamma, levels)
-                  + _downcross_curve_values(left, right, dt, H, gamma, levels))
+        values = (_crossing_curve_values(left, right, dt, H, gamma, levels)
+                  + _crossing_curve_values(right, left, dt, H, gamma, levels))
         scale = 2.0 * frak_c(H, gamma) if normalized else 1.0
         tag = f"bidirectional(gamma={gamma:g})"
     elif estimator == "count":
-        values = _upcross_curve_values(left, right, dt, H, 0.0, levels)
+        values = _crossing_curve_values(left, right, dt, H, 0.0, levels)
         scale = math.sqrt(c_h(H) / (2.0 * math.pi)) if normalized else 1.0
         tag = "count"
     elif estimator == "excess":
@@ -396,9 +393,7 @@ def cumulative_local_time(path: FbmPath, partition: Partition, a: float, *,
         raise ConfigurationError(
             f"cumulative curves support 'upcross' and 'bidirectional', got {estimator!r}")
     contrib = np.zeros(left.size)
-    w = dt[mask] ** (1.0 - (1.0 + gamma) * H)
-    if gamma != 0.0:
-        w = w * np.abs(right[mask] - left[mask]) ** gamma
+    w = _crossing_weight(dt[mask], right[mask] - left[mask], H, gamma)
     contrib[mask] = w / scale
     values = np.concatenate(([0.0], np.cumsum(contrib)))
     return CumulativeCurve(partition.breakpoints.copy(), values, float(a),
@@ -436,19 +431,12 @@ def upcross_germ(a: float, gamma: float = 0.0) -> Germ:
         raise DomainError(f"gamma must be nonnegative, got {gamma!r}")
 
     def batch(path: FbmPath, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        li = path.indices_of(lefts)
-        ri = path.indices_of(rights)
-        bs = path.values[li]
-        bt = path.values[ri]
-        H = path.hurst
+        bs = path.values[path.indices_of(lefts)]
+        bt = path.values[path.indices_of(rights)]
         out = np.zeros(len(lefts))
         mask = (bs < a) & (a < bt)
-        w = (rights[mask] - lefts[mask]) ** (1.0 - (1.0 + gamma) * H)
-        if gamma != 0.0:
-            w = w * np.abs(bt[mask] - bs[mask]) ** gamma
-        out[mask] = w
+        out[mask] = _crossing_weight(rights[mask] - lefts[mask],
+                                     bt[mask] - bs[mask], path.hurst, gamma)
         return out
 
-    return Germ(name=f"upcross[a={a:g},gamma={gamma:g}]",
-                fn=lambda path, s, t: float(batch(path, np.array([s]), np.array([t]))[0]),
-                batch=batch)
+    return Germ(name=f"upcross[a={a:g},gamma={gamma:g}]", batch=batch)

@@ -14,7 +14,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy import integrate
 
 from .errors import AccuracyError, ConfigurationError, DomainError
 
@@ -145,6 +144,9 @@ def adaptive_quad(fn: Callable[[float], float],
     Raises :class:`AccuracyError` (carrying the best estimate and its bound)
     when the requested tolerance cannot be certified.
     """
+    # imported here so that commands which never integrate skip loading scipy
+    from scipy import integrate
+
     if singularity not in (None, "lower", "upper", "both"):
         raise ConfigurationError(f"unknown singularity flag {singularity!r}")
     if not tol > 0.0:

@@ -11,13 +11,13 @@ be compared against uniform ones.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, FracsewError
+from .errors import ConfigurationError, DomainError, FracsewError, RegimeWarning
 from .fbm import FbmConfig, FbmPath, sample_fbm
 from .numerics import McEstimate, mc_lm_norm, mc_mean, split_seed
 
@@ -52,6 +52,16 @@ class Partition:
         bp = bp.copy()
         bp.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return bool(np.array_equal(self.breakpoints, other.breakpoints))
+
+    def __hash__(self) -> int:
+        # the first breakpoint is always +-0.0, which compare equal but
+        # differ in their bytes; the rest are positive
+        return hash(self.breakpoints[1:].tobytes())
 
     @property
     def horizon(self) -> float:
@@ -203,26 +213,21 @@ class SewingExponents:
 class Germ:
     """Two-parameter interval functional A(path, s, t).
 
-    ``fn`` evaluates one interval.  ``batch``, when provided, evaluates
-    arrays of lefts/rights at once (same result, vectorized); the harness
-    falls back to a Python loop otherwise.
+    ``batch`` evaluates arrays of lefts/rights at once; one interval is a
+    batch of length 1.
     """
     name: str
-    fn: Callable[[FbmPath, float, float], float]
-    batch: Callable[[FbmPath, np.ndarray, np.ndarray], np.ndarray] | None = None
+    batch: Callable[[FbmPath, np.ndarray, np.ndarray], np.ndarray]
     exponents: SewingExponents | None = None
 
     def evaluate(self, path: FbmPath, s: float, t: float) -> float:
         if not s < t:
             raise DomainError(f"germ interval needs s < t, got ({s!r}, {t!r})")
-        return float(self.fn(path, s, t))
+        return float(self.evaluate_batch(path, np.array([s]), np.array([t]))[0])
 
     def evaluate_batch(self, path: FbmPath, lefts: np.ndarray,
                        rights: np.ndarray) -> np.ndarray:
-        if self.batch is not None:
-            return np.asarray(self.batch(path, lefts, rights), dtype=float)
-        return np.array([self.fn(path, float(s), float(t))
-                         for s, t in zip(lefts, rights)])
+        return np.asarray(self.batch(path, lefts, rights), dtype=float)
 
 
 def riemann_sum(germ: Germ, path: FbmPath, partition: Partition) -> float:
@@ -289,8 +294,7 @@ def estimate_convergence_rate(germ: Germ,
                               levels: Sequence[int],
                               m: float = 2.0,
                               replicas: int = 64,
-                              method: str = "circulant",
-                              threads: int | None = None) -> RateFitResult:
+                              method: str = "circulant") -> RateFitResult:
     """Empirical L_m convergence rate of the germ's Riemann sums.
 
     For each replica path the sum is computed on every dyadic level; the
@@ -298,7 +302,9 @@ def estimate_convergence_rate(germ: Germ,
     L_m norm of (sum at level i) - (sum at finest).  ``epsilon_hat`` is the
     log-log least-squares slope over all levels except the finest two (those
     sit too close to the proxy).  Germs that are exactly additive report
-    ``exact=True`` with an infinite rate.
+    ``exact=True`` with an infinite rate.  A germ whose declared exponents
+    fail :meth:`SewingExponents.validate` is still measured, with a
+    :class:`RegimeWarning`.
     """
     levels = [int(l) for l in levels]
     if len(levels) < 4:
@@ -312,20 +318,19 @@ def estimate_convergence_rate(germ: Germ,
         raise ConfigurationError(
             f"grid_n must be a power of two >= 2^{levels[-1]}, got {n}")
 
-    partitions = [dyadic_partition(config.horizon, l) for l in levels]
+    if germ.exponents is not None:
+        try:
+            germ.exponents.validate()
+        except ConfigurationError as exc:
+            warnings.warn(f"{germ.name} is outside the sewing regime: {exc}",
+                          RegimeWarning, stacklevel=2)
 
-    def one_replica(r: int) -> np.ndarray:
+    partitions = [dyadic_partition(config.horizon, l) for l in levels]
+    sums = np.empty((replicas, len(levels)))
+    for r in range(replicas):
         path = sample_fbm(replace(config, seed=split_seed(config.seed, r)),
                           method=method)
-        return np.array([riemann_sum(germ, path, p) for p in partitions])
-
-    workers = 1 if threads is None else max(1, int(threads))
-    if workers == 1:
-        rows = [one_replica(r) for r in range(replicas)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_replica, range(replicas)))
-    sums = np.vstack(rows)  # (replicas, n_levels), replica order fixed
+        sums[r] = [riemann_sum(germ, path, p) for p in partitions]
 
     limit_estimate = mc_mean(sums[:, -1])
     diffs = sums - sums[:, -1:]

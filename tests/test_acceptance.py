@@ -304,7 +304,7 @@ def test_c11_young_sde_rate_and_uniqueness_probe():
     report = uniqueness_probe(
         0.75, delta, mesh_levels=tuple(range(8, 15)),
         scales=tuple(2.0 ** -k for k in range(4, 9)),
-        replicas=50, seed=42, threads=4)
+        replicas=50, seed=42)
     ok = ok and bool(np.all(np.diff(report.diag_distances) < 0.0))
     ok = ok and report.plateau_free is True
     _report(11, "Young SDE rate and uniqueness probe", ok)

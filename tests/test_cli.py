@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fracsew import ConfigurationError, NumericalError
+import fracsew
+from fracsew import ConfigurationError, NumericalError, RegimeWarning
 from fracsew.cli import (
     _parse_level_list,
     _parse_scales,
@@ -87,16 +90,6 @@ def test_level_list_parsing():
         _parse_level_list("fine:coarse")
 
 
-def test_threads_env(tmp_path, monkeypatch):
-    cfgfile = _write_cfg(tmp_path, "c.cfg", hurst="0.3", grid_exp="6")
-    monkeypatch.setenv("FRACSEW_THREADS", "notanint")
-    assert main(["sample", "--config", cfgfile,
-                 "--out", str(tmp_path / "o1")]) == 2
-    monkeypatch.setenv("FRACSEW_THREADS", "2")
-    assert main(["sample", "--config", cfgfile,
-                 "--out", str(tmp_path / "o2")]) == 0
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -123,6 +116,34 @@ def test_sample_rejects_bad_grid(tmp_path):
     cfgfile = _write_cfg(tmp_path, "c.cfg", hurst="0.3", grid_exp="30")
     assert main(["sample", "--config", cfgfile,
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("key,value", [("var0", "nan"), ("horizon", "inf")])
+def test_sample_rejects_non_finite_values(tmp_path, key, value):
+    cfgfile = _write_cfg(tmp_path, "c.cfg", hurst="0.3", grid_exp="6",
+                         **{key: value})
+    assert main(["sample", "--config", cfgfile,
+                 "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracsew.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fracsew.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_rate_warns_out_of_regime(tmp_path):
+    cfgfile = _write_cfg(tmp_path, "c.cfg", germ="ito:sign", hurst="0.3",
+                         levels="3:6", replicas="4")
+    with pytest.warns(RegimeWarning, match="beta1 must exceed 1"):
+        assert main(["rate", "--config", cfgfile,
+                     "--out", str(tmp_path / "o")]) == 0
 
 
 def test_localtime_run(tmp_path):

@@ -131,7 +131,7 @@ def _tiny_fit():
     def batch(path, lefts, rights):
         return np.asarray(rights) - np.asarray(lefts)
 
-    germ = Germ(name="additive", fn=lambda p, s, t: float(t - s), batch=batch)
+    germ = Germ(name="additive", batch=batch)
     return estimate_convergence_rate(
         germ, FbmConfig(hurst=0.5, grid_n=2 ** 7, seed=1), (4, 5, 6, 7),
         replicas=2)

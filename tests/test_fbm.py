@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracsew import (
@@ -256,6 +256,10 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         FbmConfig(hurst=0.5, horizon=-1.0)
     with pytest.raises(ConfigurationError):
+        FbmConfig(hurst=0.5, horizon=math.inf)
+    with pytest.raises(ConfigurationError):
+        FbmConfig(hurst=0.5, var0=math.nan)
+    with pytest.raises(ConfigurationError):
         FbmConfig(hurst=0.5, seed="abc")
 
 
@@ -296,6 +300,13 @@ def test_conditional_moments_domain():
 @given(st.floats(0.1, 0.9), st.floats(0.01, 0.5), st.floats(0.0, 1.0),
        st.floats(0.0, 1.0))
 @settings(max_examples=60, deadline=None)
+# rough cases where s - u^2 used to round to s in the quadrature
+@example(H=0.1015625, v=0.125, su=0.0, tu=0.00390625)
+@example(H=0.1, v=0.125, su=0.0, tu=0.005859375)
+@example(H=0.109375, v=0.5, su=0.9499154817626578, tu=0.125)
+@example(H=0.109375, v=0.5, su=0.875, tu=0.125)
+# an increment one ulp long, where the variance used to cancel to noise
+@example(H=0.25, v=0.5, su=0.0, tu=2.220446049250313e-16)
 def test_conditional_moments_are_a_valid_gaussian(H, v, su, tu):
     s = v + 0.05 + 0.8 * su
     t = s + 0.8 * tu

@@ -367,5 +367,4 @@ def test_probe_shapes_and_determinism():
 
     again = uniqueness_probe(0.75, 0.4, **kw)
     assert np.array_equal(rep.pair_table, again.pair_table)
-    threaded = uniqueness_probe(0.75, 0.4, threads=3, **kw)
-    assert np.array_equal(rep.pair_table, threaded.pair_table)
+    assert np.array_equal(rep.diag_distances, again.diag_distances)

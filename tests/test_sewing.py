@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from fracsew import (
     DomainError,
     FbmConfig,
     Partition,
+    RegimeWarning,
     SewingExponents,
     coarsen,
     delta_germ,
     dyadic_partition,
     estimate_convergence_rate,
+    get_integrand,
+    ito_germ,
     random_partition,
     riemann_sum,
     sample_fbm,
@@ -49,6 +53,17 @@ def test_partition_validation():
         Partition(np.array([0.0, 0.5, 0.5, 1.0]))  # strictly increasing
     with pytest.raises(DomainError):
         Partition(np.array([0.0]))
+
+
+def test_partition_equality_and_hash():
+    a = uniform_partition(1.0, 4)
+    b = Partition(np.array([-0.0, 0.25, 0.5, 0.75, 1.0]))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != uniform_partition(1.0, 8)
+    assert a != a.insert(0.125)
+    assert a != (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert len({a, b, uniform_partition(1.0, 8)}) == 2
 
 
 def test_partition_lefts_rights():
@@ -153,7 +168,6 @@ def _bm_path(seed=0, n=256):
 
 def _increment_germ():
     return Germ(name="increment",
-                fn=lambda path, s, t: path.value_at(t) - path.value_at(s),
                 batch=lambda path, lefts, rights:
                     path.values[path.indices_of(rights)]
                     - path.values[path.indices_of(lefts)])
@@ -188,21 +202,12 @@ def test_delta_germ_zero_for_additive():
 def test_delta_germ_square_increment():
     # A(s,t) = (B_t - B_s)^2 has defect (x+y)^2 - x^2 - y^2 = 2xy
     path = _bm_path(seed=3)
-    sq = Germ(name="sq", fn=lambda p, s, t: (p.value_at(t) - p.value_at(s)) ** 2)
+    sq = Germ(name="sq", batch=lambda p, lefts, rights:
+              (p.values[p.indices_of(rights)] - p.values[p.indices_of(lefts)]) ** 2)
     s, u, t = 0.25, 0.5, 0.75
     want = 2.0 * ((path.value_at(u) - path.value_at(s))
                   * (path.value_at(t) - path.value_at(u)))
     assert delta_germ(sq, path, s, u, t) == pytest.approx(want, rel=1e-12)
-
-
-def test_batch_fallback_matches_loop():
-    path = _bm_path(seed=4)
-    no_batch = Germ(name="plain", fn=lambda p, s, t: (t - s) ** 1.3)
-    with_batch = Germ(name="vec", fn=lambda p, s, t: (t - s) ** 1.3,
-                      batch=lambda p, lefts, rights: (rights - lefts) ** 1.3)
-    part = uniform_partition(1.0, 32)
-    assert riemann_sum(no_batch, path, part) == pytest.approx(
-        riemann_sum(with_batch, path, part), rel=1e-15)
 
 
 def test_refinement_telescoping_identity():
@@ -210,7 +215,7 @@ def test_refinement_telescoping_identity():
     point-insertion defects, exactly in exact arithmetic and to roundoff
     here."""
     path = _bm_path(seed=5)
-    sq = Germ(name="sq", fn=lambda p, s, t: (p.value_at(t) - p.value_at(s)) ** 2,
+    sq = Germ(name="sq",
               batch=lambda p, lefts, rights:
                   (p.values[p.indices_of(rights)] - p.values[p.indices_of(lefts)]) ** 2)
     coarse = uniform_partition(1.0, 4)
@@ -254,7 +259,7 @@ def test_rate_deterministic_power_germ():
     """Riemann sums of (t-s)^1.3 decay like mesh^0.3; the proxy fit sees the
     power plus a documented distance-to-proxy steepening, so the assertion
     window is generous on the high side."""
-    germ = Germ(name="pow13", fn=lambda p, s, t: (t - s) ** 1.3,
+    germ = Germ(name="pow13",
                 batch=lambda p, lefts, rights: (rights - lefts) ** 1.3)
     res = estimate_convergence_rate(
         germ, FbmConfig(hurst=0.5, grid_n=2 ** 16, seed=3),
@@ -272,7 +277,6 @@ def test_rate_deterministic_power_germ():
 
 def test_rate_additive_germ_exact():
     germ = Germ(name="inc",
-                fn=lambda p, s, t: p.value_at(t) - p.value_at(s),
                 batch=lambda p, lefts, rights:
                     p.values[p.indices_of(rights)] - p.values[p.indices_of(lefts)])
     res = estimate_convergence_rate(
@@ -287,7 +291,6 @@ def test_rate_squared_increment_brownian():
     """Squared-increment sums at H=1/2 are chi-square with L2 distance
     proportional to sqrt(mesh)."""
     sq = Germ(name="sq",
-              fn=lambda p, s, t: (p.value_at(t) - p.value_at(s)) ** 2,
               batch=lambda p, lefts, rights:
                   (p.values[p.indices_of(rights)] - p.values[p.indices_of(lefts)]) ** 2)
     res = estimate_convergence_rate(
@@ -298,9 +301,9 @@ def test_rate_squared_increment_brownian():
 
 
 def test_rate_scaling_invariance():
-    base = Germ(name="pow", fn=lambda p, s, t: (t - s) ** 1.4,
+    base = Germ(name="pow",
                 batch=lambda p, lefts, rights: (rights - lefts) ** 1.4)
-    scaled = Germ(name="pow7x", fn=lambda p, s, t: 7.0 * (t - s) ** 1.4,
+    scaled = Germ(name="pow7x",
                   batch=lambda p, lefts, rights: 7.0 * (rights - lefts) ** 1.4)
     cfg = FbmConfig(hurst=0.5, grid_n=2 ** 8, seed=6)
     a = estimate_convergence_rate(base, cfg, levels=(3, 4, 5, 6, 7, 8), replicas=3)
@@ -312,20 +315,32 @@ def test_rate_scaling_invariance():
 
 def test_rate_threading_is_deterministic():
     germ = Germ(name="sq",
-                fn=lambda p, s, t: (p.value_at(t) - p.value_at(s)) ** 2,
                 batch=lambda p, lefts, rights:
                     (p.values[p.indices_of(rights)] - p.values[p.indices_of(lefts)]) ** 2)
     cfg = FbmConfig(hurst=0.7, grid_n=2 ** 7, seed=13)
     one = estimate_convergence_rate(germ, cfg, levels=(3, 4, 5, 6, 7), replicas=8)
-    two = estimate_convergence_rate(germ, cfg, levels=(3, 4, 5, 6, 7), replicas=8,
-                                    threads=4)
+    two = estimate_convergence_rate(germ, cfg, levels=(3, 4, 5, 6, 7), replicas=8)
     assert one.epsilon_hat == two.epsilon_hat
     for da, db in zip(one.lm_distances, two.lm_distances):
         assert da.value == db.value
 
 
+def test_rate_warns_only_when_declared_exponents_fail():
+    sign = get_integrand("sign")
+    with pytest.warns(RegimeWarning, match="beta1 must exceed 1"):
+        estimate_convergence_rate(ito_germ(sign, hurst=0.3),
+                                  FbmConfig(hurst=0.3, grid_n=2 ** 6, seed=0),
+                                  levels=(3, 4, 5, 6), replicas=4)
+    # c05's germ, hurst index and levels: the left-point exponents hold at H = 0.75
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        estimate_convergence_rate(ito_germ(sign, hurst=0.75),
+                                  FbmConfig(hurst=0.75, grid_n=2 ** 12, seed=0),
+                                  levels=range(6, 13), replicas=4)
+
+
 def test_rate_validation():
-    germ = Germ(name="g", fn=lambda p, s, t: t - s)
+    germ = Germ(name="g", batch=lambda p, lefts, rights: rights - lefts)
     cfg = FbmConfig(hurst=0.5, grid_n=2 ** 6, seed=0)
     with pytest.raises(ConfigurationError):
         estimate_convergence_rate(germ, cfg, levels=(3, 4, 5), replicas=4)
