@@ -22,6 +22,8 @@ attach to the path:
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -144,8 +146,19 @@ class FbmConfig:
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ConfigurationError(
                 f"horizon must be positive and finite, got {self.horizon!r}")
-        if not (isinstance(self.grid_n, int) and self.grid_n >= 1):
+        try:
+            grid_n = None if isinstance(self.grid_n, bool) else operator.index(self.grid_n)
+        except TypeError:
+            grid_n = None
+        if grid_n is None or grid_n < 1:
             raise ConfigurationError(f"grid_n must be an integer >= 1, got {self.grid_n!r}")
+        object.__setattr__(self, "grid_n", grid_n)
+        # a subnormal step loses precision: the time stamps repeat or step
+        # unevenly
+        if self.horizon / grid_n < sys.float_info.min:
+            raise ConfigurationError(
+                f"horizon / grid_n = {self.horizon / grid_n!r} is subnormal; "
+                f"raise the horizon {self.horizon!r} or lower grid_n")
         if not (self.var0 >= 0.0 and math.isfinite(self.var0)):
             raise ConfigurationError(
                 f"var0 must be nonnegative and finite, got {self.var0!r}")

@@ -5,9 +5,11 @@ f(path) against the path's own increments, power-variation sums, the exact
 chain-rule value for gradient integrands, and a conditional-expectation
 oracle for the left-point germ given the past of the driving noise.
 
-The conditional oracle and its brute-force Monte Carlo companion both
-require a path sampled with the ``kernel`` method: that is the only sampler
-that knows its own driving white noise.
+The conditional oracle and its Monte Carlo companion both require a path
+sampled with the ``kernel`` method: that is the only sampler that knows its
+own driving white noise.  The oracle takes its moments from the continuous
+kernel; the Monte Carlo check redraws the noise after v through the
+cell-projected weights that built the path, so the two stay independent.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (CapabilityError, ConfigurationError, DomainError,
-                     RegimeWarning)
+                     NumericalError, RegimeWarning)
 from .fbm import (FbmPath, c_h, conditional_increment_moments,
                   kernel_cell_weights)
 from .numerics import (McEstimate, adaptive_quad, gauss_hermite_expect,
@@ -208,20 +210,29 @@ def gaussian_smooth_F(fn: Callable[[np.ndarray], np.ndarray],
     return total
 
 
-def _require_noise(path: FbmPath) -> None:
+def _condition_on_past(path: FbmPath, v: float, s: float, t: float):
+    """Split a kernel-sampled path at v for the conditional oracles.
+
+    Returns the on-grid times (v, s, t), the parts y_s and y_t of B_s and
+    B_t carried by the realized noise up to v, and the (2, m) weights of
+    B_s and B_t on the m noise cells to the right of v.
+    """
     if path.noise is None:
         raise CapabilityError(
             "this operation needs driving-noise provenance; sample the path "
             "with method='kernel'")
     if path.dim != 1:
         raise CapabilityError("conditional oracles are one-dimensional")
-
-
-def _past_future_split(path: FbmPath, v: float):
-    """Masks of noise cells entirely left (right) of v (a grid time)."""
+    tv, ts, tt = (float(path.times[i]) for i in path.indices_of([v, s, t]))
+    if not (0.0 <= tv < ts <= tt):
+        raise DomainError(f"need 0 <= v < s <= t on-grid, got ({v!r}, {s!r}, {t!r})")
     bounds = path.noise.boundaries
-    past = bounds[1:] <= v + 1e-12 * max(1.0, path.horizon)
-    return past, ~past
+    past = bounds[1:] <= tv + 1e-12 * max(1.0, path.horizon)
+    w = kernel_cell_weights(path.hurst, [ts, tt], bounds)
+    b0 = float(path.values[0])
+    y_s = b0 + float(w[0, past] @ path.noise.normals[past])
+    y_t = b0 + float(w[1, past] @ path.noise.normals[past])
+    return tv, ts, tt, y_s, y_t, w[:, ~past]
 
 
 def conditional_ito_oracle(f: IntegrandSpec, path: FbmPath,
@@ -233,18 +244,9 @@ def conditional_ito_oracle(f: IntegrandSpec, path: FbmPath,
     a1 = sigma^{-2} E[f(Y_s + X) X], X ~ N(0, sigma^2) is the fresh part of
     B_s, and rho the conditional covariance of B_s with the increment.
     """
-    _require_noise(path)
+    tv, ts, tt, y_s, y_t, _ = _condition_on_past(path, v, s, t)
     if f.dim != 1:
         raise DomainError("conditional_ito_oracle needs a scalar integrand")
-    tv, ts, tt = (float(path.times[i]) for i in path.indices_of([v, s, t]))
-    if not (0.0 <= tv < ts <= tt):
-        raise DomainError(f"need 0 <= v < s <= t on-grid, got ({v!r}, {s!r}, {t!r})")
-    past, _ = _past_future_split(path, tv)
-    bounds = path.noise.boundaries
-    w = kernel_cell_weights(path.hurst, [ts, tt], bounds)
-    b0 = float(path.values[0])
-    y_s = b0 + float(w[0, past] @ path.noise.normals[past])
-    y_t = b0 + float(w[1, past] @ path.noise.normals[past])
     if tt == ts:
         return 0.0
     mom = conditional_increment_moments(tv, ts, tt, path.hurst)
@@ -261,39 +263,36 @@ def conditional_mc_check(f: IntegrandSpec, path: FbmPath,
                          v: float, s: float, t: float,
                          n_samples: int = 10 ** 5,
                          seed: int = 0) -> McEstimate:
-    """Brute-force companion of :func:`conditional_ito_oracle`.
+    """Monte Carlo companion of :func:`conditional_ito_oracle`.
 
-    Keeps the realized noise up to v, redraws everything to the right of v
-    ``n_samples`` times, and averages f(B_s)(B_t - B_s) over the redraws by
-    raw kernel summation — no conditional-moment formulas involved.
+    Keeps the realized noise up to v, redraws the noise cells to the right
+    of v ``n_samples`` times, and averages f(B_s)(B_t - B_s) over the
+    redraws.  Given the past, the fresh parts of B_s and of the increment
+    are the future cell normals seen through two fixed weight rows, those
+    of B_s and of B_t - B_s; so they are exactly bivariate Gaussian with
+    the 2x2 Gram matrix of those rows as covariance, and each redraw takes
+    two normals through its Cholesky factor.  Only the cell-projected
+    weights that built the path enter, never the continuous
+    conditional-moment formulas the oracle uses.  The increment is drawn
+    directly, so t = s gives exactly 0 with stderr 0.
     """
-    _require_noise(path)
     if not (isinstance(n_samples, int) and n_samples >= 2):
         raise ConfigurationError(f"n_samples must be an integer >= 2, got {n_samples!r}")
-    tv, ts, tt = (float(path.times[i]) for i in path.indices_of([v, s, t]))
-    if not (0.0 <= tv < ts <= tt):
-        raise DomainError(f"need 0 <= v < s <= t on-grid, got ({v!r}, {s!r}, {t!r})")
-    past, future = _past_future_split(path, tv)
-    bounds = path.noise.boundaries
-    w = kernel_cell_weights(path.hurst, [ts, tt], bounds)
-    b0 = float(path.values[0])
-    y_s = b0 + float(w[0, past] @ path.noise.normals[past])
-    y_t = b0 + float(w[1, past] @ path.noise.normals[past])
-    rng = split_seed(seed, 0).generator()
-    n_future = int(future.sum())
-    # redraws arrive in fixed-size blocks to bound memory; the block size is
-    # a constant so results stay deterministic in (path, seed, n_samples)
-    block = 8192
-    pieces = []
-    done = 0
-    while done < n_samples:
-        k = min(block, n_samples - done)
-        fresh = rng.standard_normal((n_future, k))
-        b_s = y_s + w[0, future] @ fresh
-        b_t = y_t + w[1, future] @ fresh
-        pieces.append(np.asarray(f.fn(b_s), dtype=float) * (b_t - b_s))
-        done += k
-    return mc_mean(np.concatenate(pieces))
+    _, _, _, y_s, y_t, w = _condition_on_past(path, v, s, t)
+    w_s, w_inc = w[0], w[1] - w[0]
+    var_s, cov, var_inc = float(w_s @ w_s), float(w_s @ w_inc), float(w_inc @ w_inc)
+    # var_s > 0: the cells in (v, s] all carry weight into B_s
+    l_s = math.sqrt(var_s)
+    l_c = cov / l_s
+    resid = var_inc - l_c * l_c
+    if resid < -1e-10 * max(var_inc, 1e-300):
+        raise NumericalError(
+            f"residual redraw variance came out negative ({resid:g})")
+    l_r = math.sqrt(max(resid, 0.0))
+    z = split_seed(seed, 0).generator().standard_normal((2, n_samples))
+    b_s = y_s + l_s * z[0]
+    inc = (y_t - y_s) + (l_c * z[0] + l_r * z[1])
+    return mc_mean(np.asarray(f.fn(b_s), dtype=float) * inc)
 
 
 # ---------------------------------------------------------------------------

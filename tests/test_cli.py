@@ -126,6 +126,13 @@ def test_sample_rejects_non_finite_values(tmp_path, key, value):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_sample_rejects_subnormal_step(tmp_path):
+    cfgfile = _write_cfg(tmp_path, "c.cfg", hurst="0.3", grid_exp="12",
+                         horizon="1e-320")
+    assert main(["sample", "--config", cfgfile,
+                 "--out", str(tmp_path / "o")]) == 2
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(fracsew.__file__)))
     env = dict(os.environ)

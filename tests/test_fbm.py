@@ -261,6 +261,14 @@ def test_config_validation():
         FbmConfig(hurst=0.5, var0=math.nan)
     with pytest.raises(ConfigurationError):
         FbmConfig(hurst=0.5, seed="abc")
+    assert FbmConfig(hurst=0.5, grid_n=np.int64(8)) == FbmConfig(hurst=0.5, grid_n=8)
+    for bad in (True, 8.0, np.float64(8.0), np.int64(0)):
+        with pytest.raises(ConfigurationError):
+            FbmConfig(hurst=0.5, grid_n=bad)
+    # a subnormal step would repeat time stamps or space them unevenly
+    for n in (1024, 4096):
+        with pytest.raises(ConfigurationError, match="subnormal"):
+            FbmConfig(hurst=0.5, horizon=1e-320, grid_n=n)
 
 
 def test_multidimensional_path_components_independent():

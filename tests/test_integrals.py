@@ -235,6 +235,8 @@ def test_conditional_oracle_domain():
 def test_conditional_oracle_degenerate_increment():
     p = sample_fbm(FbmConfig(hurst=0.3, grid_n=16, seed=0), method="kernel")
     assert conditional_ito_oracle(get_integrand("sign"), p, 0.25, 0.5, 0.5) == 0.0
+    mc = conditional_mc_check(get_integrand("sign"), p, 0.25, 0.5, 0.5)
+    assert mc.value == 0.0 and mc.stderr == 0.0
 
 
 def test_conditional_oracle_identity_reduces_to_moments():
@@ -259,6 +261,27 @@ def test_conditional_oracle_against_monte_carlo():
     oracle = conditional_ito_oracle(f, p, v, s, t)
     mc = conditional_mc_check(f, p, v, s, t, n_samples=40000, seed=1)
     assert abs(oracle - mc.value) <= 4.0 * mc.stderr
+
+
+def test_conditional_mc_is_unbiased_for_the_sampled_process():
+    """f = x makes E[B_s (B_t - B_s) | past] a closed form in the cell
+    weights that built the path: y_s (y_t - y_s) + Cov(fresh B_s, fresh
+    increment).  At H = 0.3, where the oracle's continuous moments differ
+    from the cell-projected ones, the check still agrees with it; this is
+    c10's H = 0.3 identity triple with the largest oracle z-score."""
+    from fracsew import kernel_cell_weights
+    p = sample_fbm(FbmConfig(hurst=0.3, grid_n=512, seed=90_002), method="kernel")
+    v, s, t = 152 / 512, 205 / 512, 209 / 512
+    bounds = p.noise.boundaries
+    past = bounds[1:] <= v + 1e-12
+    w = kernel_cell_weights(0.3, [s, t], bounds)
+    y_s = float(w[0, past] @ p.noise.normals[past])
+    y_t = float(w[1, past] @ p.noise.normals[past])
+    fresh_s, fresh_t = w[0, ~past], w[1, ~past]
+    want = y_s * (y_t - y_s) + float(fresh_s @ (fresh_t - fresh_s))
+    mc = conditional_mc_check(get_integrand("identity"), p, v, s, t,
+                              n_samples=100_000, seed=19)
+    assert abs(mc.value - want) <= 4.0 * mc.stderr
 
 
 def test_conditional_mc_deterministic():
