@@ -22,7 +22,6 @@ attach to the path:
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import (AlignmentError, ConfigurationError, DomainError,
                      EmbeddingError, NumericalError)
-from .numerics import SeedSpec, adaptive_quad, as_seed_spec, beta
+from .numerics import SeedSpec, _as_count, adaptive_quad, as_seed_spec, beta
 
 __all__ = [
     "c_h",
@@ -146,24 +145,26 @@ class FbmConfig:
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ConfigurationError(
                 f"horizon must be positive and finite, got {self.horizon!r}")
-        try:
-            grid_n = None if isinstance(self.grid_n, bool) else operator.index(self.grid_n)
-        except TypeError:
-            grid_n = None
-        if grid_n is None or grid_n < 1:
-            raise ConfigurationError(f"grid_n must be an integer >= 1, got {self.grid_n!r}")
+        grid_n = _as_count(self.grid_n, "grid_n", 1)
         object.__setattr__(self, "grid_n", grid_n)
         # a subnormal step loses precision: the time stamps repeat or step
         # unevenly
-        if self.horizon / grid_n < sys.float_info.min:
+        step = self.horizon / grid_n
+        if step < sys.float_info.min:
             raise ConfigurationError(
-                f"horizon / grid_n = {self.horizon / grid_n!r} is subnormal; "
+                f"horizon / grid_n = {step!r} is subnormal; "
                 f"raise the horizon {self.horizon!r} or lower grid_n")
+        # every increment variance is c_h step^(2H) times an O(1) factor; a
+        # subnormal scale leaves the sampler a zero (or imprecise) covariance
+        scale = step ** (2.0 * self.hurst)
+        if scale < sys.float_info.min:
+            raise ConfigurationError(
+                f"increment variance scale step^(2H) = {scale!r} underflows at "
+                f"step {step!r}, hurst {self.hurst!r}; raise the horizon or lower grid_n")
         if not (self.var0 >= 0.0 and math.isfinite(self.var0)):
             raise ConfigurationError(
                 f"var0 must be nonnegative and finite, got {self.var0!r}")
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise ConfigurationError(f"dim must be an integer >= 1, got {self.dim!r}")
+        object.__setattr__(self, "dim", _as_count(self.dim, "dim", 1))
         as_seed_spec(self.seed)
 
     @property
@@ -248,7 +249,12 @@ class FbmPath:
 def _cholesky_factor(hurst: float, grid_n: int, step: float) -> np.ndarray:
     lag = np.abs(np.arange(grid_n)[:, None] - np.arange(grid_n)[None, :])
     cov = fgn_cov(lag, hurst, step)
-    return np.linalg.cholesky(cov)
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"Cholesky factor of the fGn covariance failed (H={hurst}, n={grid_n}): {exc}"
+        ) from exc
 
 
 def _embedding_eigs(row: np.ndarray, context: str = "") -> np.ndarray:

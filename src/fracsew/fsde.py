@@ -10,7 +10,7 @@ branching a non-unique equation would produce.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (CapabilityError, ConfigurationError, DomainError,
                      NumericalError, RegimeWarning)
 from .fbm import FbmConfig, FbmPath, sample_fbm
-from .numerics import _hermite_rule, split_seed
+from .numerics import _as_count, _hermite_rule, split_seed
 from .sewing import Partition
 
 __all__ = [
@@ -63,8 +63,7 @@ class CoefficientPair:
     vectorized: bool = False
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise ConfigurationError(f"dim must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", _as_count(self.dim, "dim", 1))
 
 
 def verify_norm_bounds(pair: CoefficientPair, radius: float = 3.0,
@@ -159,43 +158,58 @@ def young_euler_solve(coeffs: CoefficientPair, x0, driver: FbmPath,
         bvals = bvals[:, None]
     dt = np.diff(partition.breakpoints)
     db = np.diff(bvals, axis=0)
-    x = _as_state(x0, coeffs.dim)
-    out = np.empty((partition.n_intervals + 1, coeffs.dim))
+    d = coeffs.dim
+    x = _as_state(x0, d)
+    out = np.empty((partition.n_intervals + 1, d))
     out[0] = x
+    drift, diffusion = coeffs.drift, coeffs.diffusion
+    jacobian = coeffs.diffusion_jacobian if method == "milstein" else None
     for k in range(partition.n_intervals):
         xk = x
-        bx = np.atleast_1d(np.asarray(coeffs.drift(xk), dtype=float))
-        sx = np.asarray(coeffs.diffusion(xk), dtype=float).reshape(coeffs.dim, coeffs.dim)
+        bx = np.atleast_1d(np.asarray(drift(xk), dtype=float))
+        sx = np.asarray(diffusion(xk), dtype=float).reshape(d, d)
         x = xk + bx * dt[k] + sx @ db[k]
-        if method == "milstein":
-            jac = float(np.asarray(coeffs.diffusion_jacobian(xk), dtype=float).reshape(()))
+        if jacobian is not None:
+            jac = float(np.asarray(jacobian(xk), dtype=float).reshape(()))
             x = x + 0.5 * jac * float(sx.reshape(())) * db[k] ** 2
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NumericalError(f"non-finite state at step {k}", step=k)
         out[k + 1] = x
-    values = out[:, 0] if coeffs.dim == 1 else out
+    values = out[:, 0] if d == 1 else out
     return SolutionPath(times=partition.breakpoints.copy(), values=values,
-                        dim=coeffs.dim, solver=method,
+                        dim=d, solver=method,
                         step_count=partition.n_intervals, driver=driver)
 
 
 def _batched_euler(coeffs: CoefficientPair, x0: np.ndarray, dt: np.ndarray,
-                   db: np.ndarray) -> np.ndarray:
+                   db: np.ndarray, diffusions=None) -> np.ndarray:
     """Euler stepping with a batch of states sharing the step grid.
 
     x0: (R, d); dt: (N,); db: (N, R, d).  Returns (N+1, R, d).  Requires a
     vectorized coefficient pair; arithmetic per replica matches the public
     solver's ordering.
+
+    With ``diffusions``, a sequence of S diffusion callables, x0 is (S, R, d)
+    and slice j steps with ``diffusions[j]`` in place of ``coeffs.diffusion``;
+    the increments db are shared by every slice.  Each slice gets the same
+    bits as its own unstacked run.
     """
     n_steps = dt.size
     traj = np.empty((n_steps + 1,) + x0.shape)
     traj[0] = x0
     x = x0
+    drift, diffusion = coeffs.drift, coeffs.diffusion
+    if diffusions is not None:
+        sx = np.empty(x0.shape + x0.shape[-1:])
     for k in range(n_steps):
-        bx = np.asarray(coeffs.drift(x), dtype=float)
-        sx = np.asarray(coeffs.diffusion(x), dtype=float)
+        bx = np.asarray(drift(x), dtype=float)
+        if diffusions is None:
+            sx = np.asarray(diffusion(x), dtype=float)
+        else:
+            for j, sigma in enumerate(diffusions):
+                sx[j] = sigma(x[j])
         x = x + bx * dt[k] + np.einsum("...ij,...j->...i", sx, db[k])
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NumericalError(f"non-finite state at step {k}", step=k)
         traj[k + 1] = x
     return traj
@@ -272,19 +286,21 @@ def mollify_coefficient(fn: Callable[[np.ndarray], np.ndarray], scale: float,
         w = np.outer(w1, w1).ravel()
     else:
         raise CapabilityError("mollification supports dim <= 2")
-    q = offsets.shape[0]
+    shifts = scale * offsets
+    w_matrix = w[:, None, None]
+    w_vector = w[:, None]
 
     def smooth(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        pts = x[..., None, :] + scale * offsets
+        pts = x[..., None, :] + shifts
         vals = np.asarray(fn(pts), dtype=float)
         base = pts.shape[:-1]
         if vals.shape == base + (dim, dim):
-            return np.sum(w[:, None, None] * vals, axis=-3)
+            return np.add.reduce(w_matrix * vals, axis=-3)
         if vals.shape == base + (dim,):
-            return np.sum(w[:, None] * vals, axis=-2)
+            return np.add.reduce(w_vector * vals, axis=-2)
         if vals.shape == base:
-            return np.sum(w * vals, axis=-1)
+            return np.add.reduce(w * vals, axis=-1)
         raise CapabilityError(
             f"cannot infer output kind from shape {vals.shape} at {base}")
 
@@ -292,12 +308,15 @@ def mollify_coefficient(fn: Callable[[np.ndarray], np.ndarray], scale: float,
 
 
 def _radial_bump(x: np.ndarray, radius: float) -> np.ndarray:
-    """Smooth cutoff: 1 at the origin, support |x| < radius."""
-    r2 = np.sum(x * x, axis=-1) / (radius * radius)
+    """Smooth cutoff: 1 at the origin, support |x| < radius.
+
+    At and beyond the radius the exponent is -inf, and exp(-inf) is 0.
+    """
+    r2 = np.add.reduce(x * x, axis=-1) / (radius * radius)
     capped = np.minimum(r2, 1.0)
     with np.errstate(divide="ignore"):
         expo = 1.0 - 1.0 / (1.0 - capped)
-    return np.where(r2 < 1.0, np.exp(expo), 0.0)
+    return np.exp(expo)
 
 
 def builtin_holder_sigma(delta: float, dim: int = 1, kappa: float = 0.5,
@@ -317,6 +336,8 @@ def builtin_holder_sigma(delta: float, dim: int = 1, kappa: float = 0.5,
         x = np.asarray(x, dtype=float)
         x1 = x[..., 0]
         factor = 1.0 + kappa * _radial_bump(x, radius) * np.sign(x1) * np.abs(x1) ** (1.0 + delta)
+        if dim == 1:
+            return factor[..., None, None]
         return factor[..., None, None] * eye
 
     return sigma
@@ -355,9 +376,11 @@ def constant_pair(matrix, dim: int = 1) -> CoefficientPair:
 
 def geometric_pair() -> CoefficientPair:
     """d=1, zero drift, sigma(x) = x; closed form x0 exp(B_t - B_0)."""
+    eye = np.eye(1)
+
     def sigma(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return x[..., 0][..., None, None] * np.eye(1)
+        return x[..., 0][..., None, None] * eye
 
     def jac(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -473,8 +496,7 @@ def uniqueness_probe(hurst: float, delta: float, *, x0: float = 0.1,
         raise ConfigurationError(f"mesh levels must be strictly increasing, got {levels!r}")
     if any(s <= 0.0 for s in scales) or sorted(set(scales), reverse=True) != list(scales):
         raise ConfigurationError(f"scales must be positive and strictly decreasing, got {scales!r}")
-    if not (isinstance(replicas, int) and replicas >= 1):
-        raise ConfigurationError(f"replicas must be a positive integer, got {replicas!r}")
+    replicas = _as_count(replicas, "replicas", 1)
     if coeffs is None:
         coeffs = holder_pair(delta, dim=1)
     if not coeffs.vectorized:
@@ -491,18 +513,22 @@ def uniqueness_probe(hurst: float, delta: float, *, x0: float = 0.1,
     stack = np.stack(
         [d.values[:, None] if dim == 1 else d.values for d in drivers], axis=1)
     times = drivers[0].times
-    x0_state = np.full((replicas, dim), float(x0))
-
-    smooth_sigma = {s: mollify_coefficient(coeffs.diffusion, s, dim=dim,
-                                           order=quad_order)
-                    for s in scales}
+    # all scales of one mesh level step as one (S, R, d) state on shared
+    # increments; each scale's mollified sigma is still called on its own
+    # slice, once per scale and step
+    x0_state = np.full((len(scales), replicas, dim), float(x0))
+    smooth_sigma = [mollify_coefficient(coeffs.diffusion, s, dim=dim,
+                                        order=quad_order)
+                    for s in scales]
     cells = [(lev, sc) for lev in levels for sc in scales]
     trajs = {}
-    for lev, sc in cells:
+    for lev in levels:
         stride = 2 ** (finest - lev)
-        pair = replace(coeffs, diffusion=smooth_sigma[sc])
-        trajs[lev, sc] = _batched_euler(pair, x0_state, np.diff(times[::stride]),
-                                        np.diff(stack[::stride], axis=0))
+        traj = _batched_euler(coeffs, x0_state, np.diff(times[::stride]),
+                              np.diff(stack[::stride], axis=0),
+                              diffusions=smooth_sigma)
+        for j, sc in enumerate(scales):
+            trajs[lev, sc] = traj[:, j]
 
     rows = []
     for i, cell_a in enumerate(cells):

@@ -24,8 +24,9 @@ from .errors import (CapabilityError, ConfigurationError, DomainError,
                      NumericalError, RegimeWarning)
 from .fbm import (FbmPath, c_h, conditional_increment_moments,
                   kernel_cell_weights)
-from .numerics import (McEstimate, adaptive_quad, gauss_hermite_expect,
-                       mc_mean, normal_abs_moment, split_seed)
+from .numerics import (McEstimate, _as_count, adaptive_quad,
+                       gauss_hermite_expect, mc_mean, normal_abs_moment,
+                       split_seed)
 from .sewing import Germ, Partition, SewingExponents, riemann_sum
 
 __all__ = [
@@ -276,8 +277,7 @@ def conditional_mc_check(f: IntegrandSpec, path: FbmPath,
     conditional-moment formulas the oracle uses.  The increment is drawn
     directly, so t = s gives exactly 0 with stderr 0.
     """
-    if not (isinstance(n_samples, int) and n_samples >= 2):
-        raise ConfigurationError(f"n_samples must be an integer >= 2, got {n_samples!r}")
+    n_samples = _as_count(n_samples, "n_samples", 2)
     _, _, _, y_s, y_t, w = _condition_on_past(path, v, s, t)
     w_s, w_inc = w[0], w[1] - w[0]
     var_s, cov, var_inc = float(w_s @ w_s), float(w_s @ w_inc), float(w_inc @ w_inc)

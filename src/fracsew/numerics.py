@@ -8,6 +8,7 @@ of the toolkit treats as solved problems.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -268,6 +269,21 @@ def as_seed_spec(seed: int | SeedSpec) -> SeedSpec:
     if isinstance(seed, (int, np.integer)):
         return SeedSpec(int(seed))
     raise ConfigurationError(f"seed must be an int or SeedSpec, got {seed!r}")
+
+
+def _as_count(value, name: str, minimum: int) -> int:
+    """``value`` as a Python int >= ``minimum``.
+
+    Anything with ``__index__`` passes (numpy integers included); bools and
+    floats do not.
+    """
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return n
 
 
 def split_seed(seed: int | SeedSpec, index: int) -> SeedSpec:

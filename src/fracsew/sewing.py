@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, FracsewError, RegimeWarning
 from .fbm import FbmConfig, FbmPath, sample_fbm
-from .numerics import McEstimate, mc_lm_norm, mc_mean, split_seed
+from .numerics import McEstimate, _as_count, mc_lm_norm, mc_mean, split_seed
 
 __all__ = [
     "Partition",
@@ -110,15 +110,15 @@ class Partition:
 
 
 def uniform_partition(horizon: float, n: int) -> Partition:
-    if not (isinstance(n, int) and n >= 1):
-        raise ConfigurationError(f"n must be an integer >= 1, got {n!r}")
+    n = _as_count(n, "n", 1)
     if not horizon > 0.0:
         raise DomainError(f"horizon must be positive, got {horizon!r}")
     return Partition((np.arange(n + 1) * horizon) / n)
 
 
 def dyadic_partition(horizon: float, level: int) -> Partition:
-    if not (isinstance(level, int) and 0 <= level <= 30):
+    level = _as_count(level, "level", 0)
+    if level > 30:
         raise ConfigurationError(f"level must be an integer in [0, 30], got {level!r}")
     return uniform_partition(horizon, 2 ** level)
 
@@ -311,8 +311,7 @@ def estimate_convergence_rate(germ: Germ,
         raise ConfigurationError("rate estimation needs at least 4 levels")
     if sorted(set(levels)) != levels:
         raise ConfigurationError("levels must be strictly increasing")
-    if not (isinstance(replicas, int) and replicas >= 2):
-        raise ConfigurationError(f"replicas must be an integer >= 2, got {replicas!r}")
+    replicas = _as_count(replicas, "replicas", 2)
     n = config.grid_n
     if n & (n - 1) or n < 2 ** levels[-1]:
         raise ConfigurationError(

@@ -133,6 +133,21 @@ def test_sample_rejects_subnormal_step(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_sample_rejects_underflowing_increment_variance(tmp_path):
+    for method in ("circulant", "cholesky"):
+        cfgfile = _write_cfg(tmp_path, f"{method}.cfg", hurst="0.75",
+                             grid_exp="6", horizon="1e-300", method=method)
+        assert main(["sample", "--config", cfgfile,
+                     "--out", str(tmp_path / method)]) == 2
+
+
+def test_sample_cholesky_failure_exits_three(tmp_path):
+    cfgfile = _write_cfg(tmp_path, "c.cfg", hurst="0.99999999999999",
+                         grid_exp="6", method="cholesky")
+    assert main(["sample", "--config", cfgfile,
+                 "--out", str(tmp_path / "o")]) == 3
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(fracsew.__file__)))
     env = dict(os.environ)

@@ -11,6 +11,8 @@ from fracsew import (
     DomainError,
     EmbeddingError,
     FbmConfig,
+    FracsewError,
+    NumericalError,
     SeedSpec,
     adaptive_quad,
     beta,
@@ -269,6 +271,29 @@ def test_config_validation():
     for n in (1024, 4096):
         with pytest.raises(ConfigurationError, match="subnormal"):
             FbmConfig(hurst=0.5, horizon=1e-320, grid_n=n)
+    cfg = FbmConfig(hurst=0.3, dim=np.int64(2))
+    assert cfg == FbmConfig(hurst=0.3, dim=2) and type(cfg.dim) is int
+    for bad in (True, 2.0, np.float64(2.0), np.int64(0)):
+        with pytest.raises(ConfigurationError):
+            FbmConfig(hurst=0.3, dim=bad)
+
+
+def test_config_rejects_underflowing_increment_variance():
+    # the step 1.6e-302 is normal, but step^(2H) = step^1.5 underflows to 0,
+    # which left the circulant sampler a path of zeros
+    with pytest.raises(ConfigurationError, match="underflows"):
+        FbmConfig(hurst=0.75, horizon=1e-300, grid_n=64)
+    # below H = 1/2 the variance scale exceeds the step, so a normal step passes
+    assert FbmConfig(hurst=0.3, horizon=1e-300, grid_n=64).step > 0.0
+
+
+def test_cholesky_failure_is_a_numerical_error():
+    # near H = 1 the fGn covariance is numerically singular
+    cfg = FbmConfig(hurst=0.99999999999999, grid_n=64)
+    with pytest.raises(NumericalError, match="Cholesky") as info:
+        sample_fbm(cfg, method="cholesky")
+    assert isinstance(info.value, FracsewError)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_multidimensional_path_components_independent():

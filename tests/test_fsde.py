@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,12 +23,13 @@ from fracsew import (
     holder_seminorm,
     mollify_coefficient,
     sample_fbm,
+    split_seed,
     uniform_partition,
     uniqueness_probe,
     verify_norm_bounds,
     young_euler_solve,
 )
-from fracsew.fsde import _batched_euler, builtin_holder_sigma
+from fracsew.fsde import _batched_euler, _radial_bump, builtin_holder_sigma
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +156,30 @@ def test_batched_solver_matches_public_solver_bitwise():
         assert np.array_equal(traj[:, r, 0], sol.values)
 
 
+def _reference_euler(x0, db, dt, milstein):
+    """Plain per-step loop of the public solver on dX = X dB (scalar floats)."""
+    x = x0
+    out = [x]
+    for k in range(dt.size):
+        xk = x
+        x = xk + 0.0 * float(dt[k]) + xk * float(db[k])
+        if milstein:
+            x = x + 0.5 * 1.0 * xk * float(db[k]) ** 2
+        out.append(x)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("method", ["euler", "milstein"])
+def test_geometric_solve_matches_plain_loop_bitwise(method):
+    d = _driver(n=2 ** 9, seed=4)
+    part = dyadic_partition(1.0, 7)
+    sol = young_euler_solve(geometric_pair(), 0.1, d, part, method=method)
+    bvals = d.values[d.indices_of(part.breakpoints)]
+    want = _reference_euler(0.1, np.diff(bvals), np.diff(part.breakpoints),
+                            method == "milstein")
+    assert np.array_equal(sol.values, want)
+
+
 # ---------------------------------------------------------------------------
 # Holder seminorms
 
@@ -255,6 +282,22 @@ def test_mollification_distance_scales_like_one_plus_delta():
 
 # ---------------------------------------------------------------------------
 # built-in coefficients
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_radial_bump_vanishes_from_the_radius_on(dim):
+    radius = 2.0
+    outside = np.zeros((5, dim))
+    outside[:, -1] = [2.0, -2.0, 2.5, 10.0, 1e100]
+    inside = np.zeros((3, dim))
+    inside[:, 0] = [0.0, 1.0, -1.9]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _radial_bump(outside, radius)
+        ins = _radial_bump(inside, radius)
+    assert out.tolist() == [0.0] * 5
+    assert not np.any(np.signbit(out))
+    assert ins[0] == 1.0 and np.all(ins > 0.0) and np.all(ins <= 1.0)
 
 
 def test_builtin_sigma_identity_at_origin():
@@ -368,3 +411,84 @@ def test_probe_shapes_and_determinism():
     again = uniqueness_probe(0.75, 0.4, **kw)
     assert np.array_equal(rep.pair_table, again.pair_table)
     assert np.array_equal(rep.diag_distances, again.diag_distances)
+
+
+def _probe_reference(coeffs, hurst, levels, scales, replicas, seed, x0=0.1):
+    """The probe's cells one at a time: one unstacked _batched_euler run per
+    (level, scale) with that scale's own mollified pair."""
+    d, finest = coeffs.dim, levels[-1]
+    drivers = [sample_fbm(FbmConfig(hurst=hurst, grid_n=2 ** finest,
+                                    seed=split_seed(seed, r), dim=d))
+               for r in range(replicas)]
+    stack = np.stack([p.values.reshape(p.grid_n + 1, d) for p in drivers], axis=1)
+    times = drivers[0].times
+    trajs = {}
+    for lev in levels:
+        stride = 2 ** (finest - lev)
+        for sc in scales:
+            pair = replace(coeffs, diffusion=mollify_coefficient(coeffs.diffusion, sc, dim=d))
+            trajs[lev, sc] = _batched_euler(pair, np.full((replicas, d), x0),
+                                            np.diff(times[::stride]),
+                                            np.diff(stack[::stride], axis=0))
+
+    def sup(a, b):
+        fine = trajs[b][:: 2 ** (b[0] - a[0])]
+        diff = trajs[a] - fine
+        return np.max(np.sqrt(np.sum(diff * diff, axis=-1)), axis=0)
+
+    cells = [(lev, sc) for lev in levels for sc in scales]
+    rows = []
+    for i, a in enumerate(cells):
+        for b in cells[i + 1:]:
+            dist = sup(a, b)
+            rows.extend((float(r), float(a[0]), a[1], float(b[0]), b[1], float(dist[r]))
+                        for r in range(replicas))
+    diag = list(zip(levels, scales))
+    diag_d = np.array([float(np.max(sup(c, diag[-1]))) for c in diag[:-1]])
+    return np.array(rows, dtype=float), diag_d
+
+
+@pytest.mark.parametrize("coeffs", [
+    holder_pair(0.3, drift_strength=0.5),
+    constant_pair([[1.0, 0.3], [-0.2, 0.8]], dim=2),
+], ids=["holder-d1", "constant-d2"])
+def test_probe_stacked_scales_match_unstacked_cells_bitwise(coeffs):
+    levels, scales = (5, 6, 7), (0.25, 0.125, 0.0625)
+    rep = uniqueness_probe(0.75, 0.3, coeffs=coeffs, mesh_levels=levels,
+                           scales=scales, replicas=3, seed=8)
+    table, diag_d = _probe_reference(coeffs, 0.75, levels, scales, 3, 8)
+    assert np.array_equal(rep.pair_table, table)
+    assert np.array_equal(rep.diag_distances, diag_d)
+
+
+def test_probe_calls_sigma_once_per_scale_and_step():
+    calls = []
+    base = holder_pair(0.3)
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return base.diffusion(x)
+
+    levels, scales, replicas = (4, 5, 6), (0.25, 0.125), 3
+    uniqueness_probe(0.75, 0.3, coeffs=replace(base, diffusion=counting),
+                     mesh_levels=levels, scales=scales, replicas=replicas, seed=2)
+    assert len(calls) == len(scales) * sum(2 ** lev for lev in levels)
+    # each call sees one scale's (replicas, d) state, spread over the nodes
+    assert set(calls) == {(replicas, 32, 1)}
+
+
+def test_probe_and_pair_accept_numpy_integers():
+    kw = dict(mesh_levels=(4, 5), scales=(0.25, 0.125), seed=3)
+    a = uniqueness_probe(0.75, 0.3, replicas=np.int64(2), **kw)
+    b = uniqueness_probe(0.75, 0.3, replicas=2, **kw)
+    assert np.array_equal(a.pair_table, b.pair_table)
+    assert type(a.replicas) is int
+    for bad in (True, 2.0, np.int64(0)):
+        with pytest.raises(ConfigurationError):
+            uniqueness_probe(0.75, 0.3, replicas=bad, **kw)
+    pair = CoefficientPair(drift=lambda x: x, diffusion=lambda x: x,
+                           dim=np.int64(2))
+    assert pair.dim == 2 and type(pair.dim) is int
+    for bad in (True, 1.0, np.int64(0)):
+        with pytest.raises(ConfigurationError):
+            CoefficientPair(drift=lambda x: x, diffusion=lambda x: x, dim=bad)

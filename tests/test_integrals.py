@@ -292,6 +292,11 @@ def test_conditional_mc_deterministic():
     assert a == b
     c = conditional_mc_check(f, p, 0.25, 0.5, 0.75, n_samples=5000, seed=10)
     assert a.value != c.value
+    assert conditional_mc_check(f, p, 0.25, 0.5, 0.75, n_samples=np.int64(5000),
+                                seed=9) == a
+    for bad in (True, 5000.0, np.int64(1)):
+        with pytest.raises(ConfigurationError):
+            conditional_mc_check(f, p, 0.25, 0.5, 0.75, n_samples=bad, seed=9)
 
 
 # ---------------------------------------------------------------------------

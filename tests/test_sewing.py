@@ -46,6 +46,17 @@ def test_dyadic_partition_mesh():
     assert p.mesh == pytest.approx(2.0 * 2.0 ** -3)
 
 
+def test_partition_sizes_accept_numpy_integers():
+    assert dyadic_partition(1.0, np.int64(3)) == dyadic_partition(1.0, 3)
+    assert uniform_partition(1.0, np.int32(5)) == uniform_partition(1.0, 5)
+    for bad in (True, 3.0, -1, 31):
+        with pytest.raises(ConfigurationError):
+            dyadic_partition(1.0, bad)
+    for bad in (False, 5.0, np.int64(0)):
+        with pytest.raises(ConfigurationError):
+            uniform_partition(1.0, bad)
+
+
 def test_partition_validation():
     with pytest.raises(DomainError):
         Partition(np.array([0.1, 0.5, 1.0]))  # must start at 0
@@ -351,6 +362,12 @@ def test_rate_validation():
     with pytest.raises(ConfigurationError):
         # grid too small for the finest level
         estimate_convergence_rate(germ, cfg, levels=(4, 5, 6, 7), replicas=4)
+    for bad in (True, 4.0, np.int64(1)):
+        with pytest.raises(ConfigurationError):
+            estimate_convergence_rate(germ, cfg, levels=(3, 4, 5, 6), replicas=bad)
+    a = estimate_convergence_rate(germ, cfg, levels=(3, 4, 5, 6), replicas=np.int64(4))
+    b = estimate_convergence_rate(germ, cfg, levels=(3, 4, 5, 6), replicas=4)
+    assert a.epsilon_hat == b.epsilon_hat and a.exact == b.exact
 
 
 @given(st.integers(0, 2 ** 32), st.integers(2, 40))
