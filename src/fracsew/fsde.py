@@ -10,7 +10,7 @@ branching a non-unique equation would produce.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -182,32 +182,20 @@ def young_euler_solve(coeffs: CoefficientPair, x0, driver: FbmPath,
 
 
 def _batched_euler(coeffs: CoefficientPair, x0: np.ndarray, dt: np.ndarray,
-                   db: np.ndarray, diffusions=None) -> np.ndarray:
+                   db: np.ndarray) -> np.ndarray:
     """Euler stepping with a batch of states sharing the step grid.
 
     x0: (R, d); dt: (N,); db: (N, R, d).  Returns (N+1, R, d).  Requires a
     vectorized coefficient pair; arithmetic per replica matches the public
     solver's ordering.
-
-    With ``diffusions``, a sequence of S diffusion callables, x0 is (S, R, d)
-    and slice j steps with ``diffusions[j]`` in place of ``coeffs.diffusion``;
-    the increments db are shared by every slice.  Each slice gets the same
-    bits as its own unstacked run.
     """
     n_steps = dt.size
     traj = np.empty((n_steps + 1,) + x0.shape)
     traj[0] = x0
     x = x0
-    drift, diffusion = coeffs.drift, coeffs.diffusion
-    if diffusions is not None:
-        sx = np.empty(x0.shape + x0.shape[-1:])
     for k in range(n_steps):
-        bx = np.asarray(drift(x), dtype=float)
-        if diffusions is None:
-            sx = np.asarray(diffusion(x), dtype=float)
-        else:
-            for j, sigma in enumerate(diffusions):
-                sx[j] = sigma(x[j])
+        bx = np.asarray(coeffs.drift(x), dtype=float)
+        sx = np.asarray(coeffs.diffusion(x), dtype=float)
         x = x + bx * dt[k] + np.einsum("...ij,...j->...i", sx, db[k])
         if not np.isfinite(x).all():
             raise NumericalError(f"non-finite state at step {k}", step=k)
@@ -336,8 +324,6 @@ def builtin_holder_sigma(delta: float, dim: int = 1, kappa: float = 0.5,
         x = np.asarray(x, dtype=float)
         x1 = x[..., 0]
         factor = 1.0 + kappa * _radial_bump(x, radius) * np.sign(x1) * np.abs(x1) ** (1.0 + delta)
-        if dim == 1:
-            return factor[..., None, None]
         return factor[..., None, None] * eye
 
     return sigma
@@ -520,13 +506,20 @@ def uniqueness_probe(hurst: float, delta: float, *, x0: float = 0.1,
     smooth_sigma = [mollify_coefficient(coeffs.diffusion, s, dim=dim,
                                         order=quad_order)
                     for s in scales]
+
+    def stacked_sigma(x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.shape + x.shape[-1:])
+        for j, sigma in enumerate(smooth_sigma):
+            out[j] = sigma(x[j])
+        return out
+
+    stacked = replace(coeffs, diffusion=stacked_sigma)
     cells = [(lev, sc) for lev in levels for sc in scales]
     trajs = {}
     for lev in levels:
         stride = 2 ** (finest - lev)
-        traj = _batched_euler(coeffs, x0_state, np.diff(times[::stride]),
-                              np.diff(stack[::stride], axis=0),
-                              diffusions=smooth_sigma)
+        traj = _batched_euler(stacked, x0_state, np.diff(times[::stride]),
+                              np.diff(stack[::stride], axis=0))
         for j, sc in enumerate(scales):
             trajs[lev, sc] = traj[:, j]
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fracsew
+import fracsew.fbm
 from fracsew import ConfigurationError, NumericalError, RegimeWarning
 from fracsew.cli import (
     _parse_level_list,
@@ -141,8 +142,12 @@ def test_sample_rejects_underflowing_increment_variance(tmp_path):
                      "--out", str(tmp_path / method)]) == 2
 
 
-def test_sample_cholesky_failure_exits_three(tmp_path):
-    cfgfile = _write_cfg(tmp_path, "c.cfg", hurst="0.99999999999999",
+def test_sample_cholesky_failure_exits_three(tmp_path, monkeypatch):
+    # a covariance with a negative diagonal, which no Cholesky factor takes
+    monkeypatch.setattr(fracsew.fbm, "fgn_cov",
+                        lambda lag, hurst, step: np.where(lag == 0, -1.0, 0.0))
+    # a Hurst index no other test factors, so the factor cache cannot hold it
+    cfgfile = _write_cfg(tmp_path, "c.cfg", hurst="0.6180339887",
                          grid_exp="6", method="cholesky")
     assert main(["sample", "--config", cfgfile,
                  "--out", str(tmp_path / "o")]) == 3

@@ -25,6 +25,7 @@ from fracsew import (
     mvn_kernel,
     sample_fbm,
 )
+import fracsew.fbm
 from fracsew.fbm import _circulant_sqrt_eigs
 
 
@@ -287,9 +288,15 @@ def test_config_rejects_underflowing_increment_variance():
     assert FbmConfig(hurst=0.3, horizon=1e-300, grid_n=64).step > 0.0
 
 
-def test_cholesky_failure_is_a_numerical_error():
-    # near H = 1 the fGn covariance is numerically singular
-    cfg = FbmConfig(hurst=0.99999999999999, grid_n=64)
+def _indefinite_fgn_cov(lag, hurst, step):
+    """A covariance with a negative diagonal, which no Cholesky factor takes."""
+    return np.where(lag == 0, -1.0, 0.0)
+
+
+def test_cholesky_failure_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(fracsew.fbm, "fgn_cov", _indefinite_fgn_cov)
+    # a Hurst index no other test factors, so the factor cache cannot hold it
+    cfg = FbmConfig(hurst=0.6180339887, grid_n=64)
     with pytest.raises(NumericalError, match="Cholesky") as info:
         sample_fbm(cfg, method="cholesky")
     assert isinstance(info.value, FracsewError)
