@@ -280,8 +280,8 @@ def _resolve_germ(cfg: dict) -> Germ:
         p = cfg.get("p", 1.0 / hurst)
         return variation_germ(p)
     if spec == "additive":
-        return Germ(name="additive", batch=lambda path, lefts, rights:
-                    np.asarray(rights, dtype=float) - np.asarray(lefts, dtype=float))
+        return Germ(name="additive",
+                    batch=lambda path, i, j: path.times[j] - path.times[i])
     if spec == "upcross":
         return upcross_germ(cfg["a"], cfg["gamma"])
     if spec.startswith("ito:"):

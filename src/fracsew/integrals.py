@@ -73,8 +73,7 @@ class IntegrandSpec:
             raise ConfigurationError("holder regularity needs holder_gamma")
         if self.regularity == "gradient" and self.potential is None:
             raise ConfigurationError("gradient regularity needs a potential")
-        if self.dim < 1:
-            raise ConfigurationError(f"dim must be >= 1, got {self.dim!r}")
+        object.__setattr__(self, "dim", _as_count(self.dim, "dim", 1))
 
 
 def get_integrand(tag: str) -> IntegrandSpec:
@@ -299,11 +298,6 @@ def conditional_mc_check(f: IntegrandSpec, path: FbmPath,
 # germ adapters for the convergence-rate harness
 
 
-def _endpoints(path: FbmPath, lefts: np.ndarray, rights: np.ndarray):
-    """Path values at the left and right ends of each interval."""
-    return path.values[path.indices_of(lefts)], path.values[path.indices_of(rights)]
-
-
 def _dot(fv: np.ndarray, inc: np.ndarray, dim: int) -> np.ndarray:
     return fv * inc if dim == 1 else np.sum(fv * inc, axis=1)
 
@@ -316,8 +310,8 @@ def ito_germ(f: IntegrandSpec, hurst: float | None = None) -> Germ:
     (size hurst, coherence 2*hurst conditionally and hurst in moments);
     these satisfy the harness inequalities exactly when hurst > 1/2.
     """
-    def batch(path: FbmPath, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        bs, bt = _endpoints(path, lefts, rights)
+    def batch(path: FbmPath, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        bs, bt = path.values[i], path.values[j]
         return _dot(np.asarray(f.fn(bs), dtype=float), bt - bs, path.dim)
 
     expo = None
@@ -333,8 +327,8 @@ def stratonovich_germ(f: IntegrandSpec, hurst: float | None = None) -> Germ:
     With a hurst index and a holder-type integrand of exponent gamma the
     germ carries size hurst and coherence (1+gamma)*hurst exponents.
     """
-    def batch(path: FbmPath, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        bs, bt = _endpoints(path, lefts, rights)
+    def batch(path: FbmPath, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        bs, bt = path.values[i], path.values[j]
         fv = 0.5 * (np.asarray(f.fn(bs), dtype=float)
                     + np.asarray(f.fn(bt), dtype=float))
         return _dot(fv, bt - bs, path.dim)
@@ -352,8 +346,8 @@ def variation_germ(p: float) -> Germ:
     if not p > 0.0:
         raise DomainError(f"variation order must be positive, got {p!r}")
 
-    def batch(path: FbmPath, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        bs, bt = _endpoints(path, lefts, rights)
+    def batch(path: FbmPath, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        bs, bt = path.values[i], path.values[j]
         inc = bt - bs
         mag = np.abs(inc) if path.dim == 1 else np.sqrt(np.sum(inc * inc, axis=1))
         return mag ** p

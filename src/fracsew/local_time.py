@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigurationError, DomainError, RegimeWarning
 from .fbm import FbmPath, c_h
-from .numerics import adaptive_quad, log_gamma
-from .sewing import Germ, Partition
+from .numerics import _as_count, adaptive_quad, log_gamma
+from .sewing import Germ, Partition, riemann_sum
 
 __all__ = [
     "frak_c",
@@ -92,13 +92,17 @@ def validate_m_condition(hurst: float, m: float) -> bool:
     return 1.0 / m > 1.0 - 1.0 / (2.0 * hurst)
 
 
-def _crossing_arrays(path: FbmPath, partition: Partition):
+def _check_one_dim(path: FbmPath) -> None:
     if path.dim != 1:
         raise DomainError("crossing estimators are one-dimensional")
+
+
+def _crossing_arrays(path: FbmPath, partition: Partition):
+    _check_one_dim(path)
     idx = path.indices_of(partition.breakpoints)
     vals = path.values[idx]
-    dt = np.diff(partition.breakpoints)
-    return vals[:-1], vals[1:], dt
+    # the grid times' differences, as the crossing germ takes them
+    return vals[:-1], vals[1:], np.diff(path.times[idx])
 
 
 def _crossing_weight(dt: np.ndarray, inc: np.ndarray, hurst: float,
@@ -110,34 +114,42 @@ def _crossing_weight(dt: np.ndarray, inc: np.ndarray, hurst: float,
     return w
 
 
-def _weighted_crossing_sum(path: FbmPath, partition: Partition, a: float,
-                           gamma: float, direction: str) -> float:
+def _crossing_germ(a: float, gamma: float, direction: str) -> Germ:
+    """(t-s)^(1-(1+gamma)H) |B_t - B_s|^gamma on the intervals that cross a
+    upwards (B_s < a < B_t) or downwards (B_t < a < B_s), zero elsewhere."""
     if not gamma >= 0.0:
         raise DomainError(f"gamma must be nonnegative, got {gamma!r}")
-    left, right, dt = _crossing_arrays(path, partition)
-    low, high = (left, right) if direction == "up" else (right, left)
-    mask = (low < a) & (a < high)
-    if not np.any(mask):
-        return 0.0
-    w = _crossing_weight(dt[mask], right[mask] - left[mask], path.hurst, gamma)
-    return float(math.fsum(w))
+
+    def batch(path: FbmPath, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        bs, bt = path.values[i], path.values[j]
+        low, high = (bs, bt) if direction == "up" else (bt, bs)
+        mask = (low < a) & (a < high)
+        out = np.zeros(len(i))
+        out[mask] = _crossing_weight(path.times[j[mask]] - path.times[i[mask]],
+                                     bt[mask] - bs[mask], path.hurst, gamma)
+        return out
+
+    return Germ(name=f"{direction}cross[a={a:g},gamma={gamma:g}]", batch=batch)
 
 
 def upcrossing_sum(path: FbmPath, partition: Partition, a: float,
                    gamma: float = 0.0) -> float:
     """Weighted up-crossing sum at level a.
 
-    Sums (t-s)^(1-(1+gamma)H) |B_t - B_s|^gamma over partition intervals
-    with B_s < a < B_t (strict).  Dividing by :func:`frak_c` estimates the
-    local time at a.
+    The :func:`riemann_sum` of :func:`upcross_germ`: sums
+    (t-s)^(1-(1+gamma)H) |B_t - B_s|^gamma over partition intervals with
+    B_s < a < B_t (strict).  Dividing by :func:`frak_c` estimates the local
+    time at a.
     """
-    return _weighted_crossing_sum(path, partition, a, gamma, "up")
+    _check_one_dim(path)
+    return riemann_sum(_crossing_germ(a, gamma, "up"), path, partition)
 
 
 def downcrossing_sum(path: FbmPath, partition: Partition, a: float,
                      gamma: float = 0.0) -> float:
     """Mirror of :func:`upcrossing_sum` over intervals with B_t < a < B_s."""
-    return _weighted_crossing_sum(path, partition, a, gamma, "down")
+    _check_one_dim(path)
+    return riemann_sum(_crossing_germ(a, gamma, "down"), path, partition)
 
 
 def bidirectional_sum(path: FbmPath, partition: Partition, a: float,
@@ -155,10 +167,8 @@ def crossing_count_estimator(path: FbmPath, n: int, a: float) -> float:
     are exactly representable, e.g. dyadic ones).  n must divide the path's
     grid.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ConfigurationError(f"n must be a positive integer, got {n!r}")
-    if path.dim != 1:
-        raise DomainError("crossing estimators are one-dimensional")
+    n = _as_count(n, "n", 1)
+    _check_one_dim(path)
     if path.grid_n % n != 0:
         raise AlignmentError(
             f"n={n} does not divide the path grid ({path.grid_n} intervals)")
@@ -176,11 +186,7 @@ def upcrossing_excess_sum(path: FbmPath, partition: Partition, a: float) -> floa
     Dividing by H frak_c(H, 1/H - 1) estimates the local time at a.
     """
     left, right, _ = _crossing_arrays(path, partition)
-    mask = (left < a) & (a < right)
-    if not np.any(mask):
-        return 0.0
-    p = 1.0 / path.hurst - 1.0
-    return float(math.fsum(np.abs(right[mask] - a) ** p))
+    return _excess_at(left, right, a, 1.0 / path.hurst - 1.0)
 
 
 def occupation_density_estimator(path: FbmPath, a: float,
@@ -207,8 +213,7 @@ def default_bandwidth(path: FbmPath) -> float:
 def default_level_grid(path: FbmPath, n_levels: int = 400,
                        pad: float = 0.1) -> np.ndarray:
     """Uniform spatial grid spanning the path range, padded by ``pad`` of it."""
-    if not (isinstance(n_levels, int) and n_levels >= 2):
-        raise ConfigurationError(f"n_levels must be an integer >= 2, got {n_levels!r}")
+    n_levels = _as_count(n_levels, "n_levels", 2)
     lo = float(np.min(path.values))
     hi = float(np.max(path.values))
     width = max(hi - lo, 1e-8)
@@ -277,15 +282,17 @@ def _crossing_curve_values(low, high, dt, hurst, gamma, levels):
     return _range_accumulate(lo, hi, w, levels.size)
 
 
+def _excess_at(left, right, a, p):
+    """|B_t - a|^p summed over the intervals with B_s < a < B_t."""
+    mask = (left < a) & (a < right)
+    return math.fsum(np.abs(right[mask] - a) ** p)
+
+
 def _excess_curve_values(left, right, hurst, levels):
     p = 1.0 / hurst - 1.0
     keep = right > left
     ls, rs = left[keep], right[keep]
-    out = np.empty(levels.size)
-    for i, a in enumerate(levels):
-        mask = (ls < a) & (a < rs)
-        out[i] = math.fsum(np.abs(rs[mask] - a) ** p)
-    return out
+    return np.array([_excess_at(ls, rs, a, p) for a in levels])
 
 
 def _occupation_curve_values(path: FbmPath, levels, bandwidth):
@@ -381,20 +388,19 @@ def cumulative_local_time(path: FbmPath, partition: Partition, a: float, *,
     Per-interval crossing contributions accumulate left to right, so the
     curve is nondecreasing by construction.
     """
-    left, right, dt = _crossing_arrays(path, partition)
-    H = path.hurst
-    if estimator == "upcross":
-        mask = (left < a) & (a < right)
-        scale = frak_c(H, gamma)
-    elif estimator == "bidirectional":
-        mask = ((left < a) & (a < right)) | ((right < a) & (a < left))
-        scale = 2.0 * frak_c(H, gamma)
-    else:
+    if estimator not in ("upcross", "bidirectional"):
         raise ConfigurationError(
             f"cumulative curves support 'upcross' and 'bidirectional', got {estimator!r}")
-    contrib = np.zeros(left.size)
-    w = _crossing_weight(dt[mask], right[mask] - left[mask], H, gamma)
-    contrib[mask] = w / scale
+    _check_one_dim(path)
+    idx = path.indices_of(partition.breakpoints)
+    i, j = idx[:-1], idx[1:]
+    H = path.hurst
+    contrib = _crossing_germ(a, gamma, "up").evaluate_batch(path, i, j)
+    scale = frak_c(H, gamma)
+    if estimator == "bidirectional":
+        contrib += _crossing_germ(a, gamma, "down").evaluate_batch(path, i, j)
+        scale = 2.0 * scale
+    contrib /= scale
     values = np.concatenate(([0.0], np.cumsum(contrib)))
     return CumulativeCurve(partition.breakpoints.copy(), values, float(a),
                            f"{estimator}(gamma={gamma:g})", H)
@@ -425,18 +431,6 @@ def upcross_germ(a: float, gamma: float = 0.0) -> Germ:
     """Up-crossing germ for the convergence-rate harness.
 
     Per interval: (t-s)^(1-(1+gamma)H) |B_t - B_s|^gamma on up-crossings of
-    a, zero elsewhere.
+    a, zero elsewhere.  Its :func:`riemann_sum` is :func:`upcrossing_sum`.
     """
-    if not gamma >= 0.0:
-        raise DomainError(f"gamma must be nonnegative, got {gamma!r}")
-
-    def batch(path: FbmPath, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        bs = path.values[path.indices_of(lefts)]
-        bt = path.values[path.indices_of(rights)]
-        out = np.zeros(len(lefts))
-        mask = (bs < a) & (a < bt)
-        out[mask] = _crossing_weight(rights[mask] - lefts[mask],
-                                     bt[mask] - bs[mask], path.hurst, gamma)
-        return out
-
-    return Germ(name=f"upcross[a={a:g},gamma={gamma:g}]", batch=batch)
+    return _crossing_germ(a, gamma, "up")

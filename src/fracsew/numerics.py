@@ -16,7 +16,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import AccuracyError, ConfigurationError, DomainError
+from .errors import (AccuracyError, CapabilityError, ConfigurationError,
+                     DomainError)
 
 __all__ = [
     "log_gamma",
@@ -105,23 +106,22 @@ def gauss_hermite_expect(fn: Callable[[np.ndarray], np.ndarray],
                          order: int = 64) -> float:
     """E[fn(mu + sigma Z)] for standard normal Z by Gauss--Hermite quadrature.
 
-    ``fn`` should accept a numpy array (a scalar fallback loop is applied if
-    it does not).  ``sigma == 0`` short-circuits to ``fn(mu)``.
+    ``fn`` maps an array of nodes to an array of the same shape; any other
+    shape raises :class:`CapabilityError`, and an exception raised by ``fn``
+    propagates unchanged.  ``sigma == 0`` short-circuits to ``fn(mu)``.
     """
-    if not (isinstance(order, int) and order >= 2):
-        raise ConfigurationError(f"gauss_hermite_expect needs integer order >= 2, got {order!r}")
+    order = _as_count(order, "order", 2)
     if sigma < 0.0:
         raise DomainError(f"sigma must be nonnegative, got {sigma!r}")
     if sigma == 0.0:
         return float(fn(np.float64(mu)))
     nodes, weights = _hermite_rule(order)
     pts = mu + sigma * nodes
-    try:
-        vals = np.asarray(fn(pts), dtype=float)
-        if vals.shape != pts.shape:
-            raise ValueError
-    except Exception:
-        vals = np.array([float(fn(p)) for p in pts])
+    vals = np.asarray(fn(pts), dtype=float)
+    if vals.shape != pts.shape:
+        raise CapabilityError(
+            f"gauss_hermite_expect needs a vectorized fn: nodes of shape "
+            f"{pts.shape} gave values of shape {vals.shape}")
     return float(np.sum(weights * vals))
 
 
@@ -249,26 +249,21 @@ class SeedSpec:
     path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.master, int) or self.master < 0:
-            raise ConfigurationError(f"master seed must be a nonnegative int, got {self.master!r}")
-        if not all(isinstance(i, int) and i >= 0 for i in self.path):
-            raise ConfigurationError(f"stream path must be nonnegative ints, got {self.path!r}")
+        object.__setattr__(self, "master", _as_count(self.master, "master seed", 0))
+        object.__setattr__(self, "path", tuple(
+            _as_count(i, "stream path entry", 0) for i in self.path))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.master, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(seed=ss))
 
     def split(self, index: int) -> "SeedSpec":
-        return SeedSpec(self.master, self.path + (int(index),))
+        return SeedSpec(self.master, self.path + (index,))
 
 
 def as_seed_spec(seed: int | SeedSpec) -> SeedSpec:
     """Coerce an int (or pass through a SeedSpec) to a SeedSpec."""
-    if isinstance(seed, SeedSpec):
-        return seed
-    if isinstance(seed, (int, np.integer)):
-        return SeedSpec(int(seed))
-    raise ConfigurationError(f"seed must be an int or SeedSpec, got {seed!r}")
+    return seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
 
 
 def _as_count(value, name: str, minimum: int) -> int:

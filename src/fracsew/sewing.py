@@ -181,15 +181,12 @@ class SewingExponents:
     """Exponent bookkeeping for a germ family.
 
     ``alpha`` is the singularity weight, ``beta1``/``beta2`` the conditional
-    and unconditional increment-defect orders, ``m`` the moment index and
-    ``big_m`` the moment-equivalence constant.  ``big_m`` is recorded for
-    reporting only; it never enters arithmetic here.
+    and unconditional increment-defect orders and ``m`` the moment index.
     """
     alpha: float
     beta1: float
     beta2: float
     m: float
-    big_m: float = 1.0
 
     def validate(self) -> "SewingExponents":
         problems = []
@@ -202,8 +199,6 @@ class SewingExponents:
                 f"beta1 - alpha must exceed 1/2 (got {self.beta1 - self.alpha!r})")
         if not self.m >= 1.0:
             problems.append(f"m must be at least 1 (got {self.m!r})")
-        if not self.big_m >= 1.0:
-            problems.append(f"the moment constant must be at least 1 (got {self.big_m!r})")
         if problems:
             raise ConfigurationError("invalid sewing exponents: " + "; ".join(problems))
         return self
@@ -213,8 +208,11 @@ class SewingExponents:
 class Germ:
     """Two-parameter interval functional A(path, s, t).
 
-    ``batch`` evaluates arrays of lefts/rights at once; one interval is a
-    batch of length 1.
+    ``batch(path, i, j)`` takes integer arrays of the grid indices of the
+    interval ends, s = ``path.times[i]`` and t = ``path.times[j]``, and
+    returns one value per interval.  It reads ``path.values`` and
+    ``path.times`` at those indices directly; the callers map times to
+    indices once, and raise :class:`AlignmentError` for off-grid times.
     """
     name: str
     batch: Callable[[FbmPath, np.ndarray, np.ndarray], np.ndarray]
@@ -223,33 +221,36 @@ class Germ:
     def evaluate(self, path: FbmPath, s: float, t: float) -> float:
         if not s < t:
             raise DomainError(f"germ interval needs s < t, got ({s!r}, {t!r})")
-        return float(self.evaluate_batch(path, np.array([s]), np.array([t]))[0])
+        idx = path.indices_of([s, t])
+        return float(self.evaluate_batch(path, idx[:1], idx[1:])[0])
 
-    def evaluate_batch(self, path: FbmPath, lefts: np.ndarray,
-                       rights: np.ndarray) -> np.ndarray:
-        return np.asarray(self.batch(path, lefts, rights), dtype=float)
+    def evaluate_batch(self, path: FbmPath, i: np.ndarray,
+                       j: np.ndarray) -> np.ndarray:
+        return np.asarray(self.batch(path, i, j), dtype=float)
 
 
 def riemann_sum(germ: Germ, path: FbmPath, partition: Partition) -> float:
     """Sum of the germ over consecutive partition intervals.
 
-    Breakpoints must lie on the path grid.  Accumulation is compensated
-    (correctly-rounded) in breakpoint order, so the result does not depend
-    on evaluation batching.
+    The breakpoints are mapped to grid indices ``idx`` once (they must lie
+    on the path grid) and the germ is evaluated on ``idx[:-1], idx[1:]``.
+    Accumulation is compensated (correctly-rounded) in breakpoint order, so
+    the result does not depend on evaluation batching.
     """
     idx = path.indices_of(partition.breakpoints)
-    lefts = path.times[idx[:-1]]
-    rights = path.times[idx[1:]]
-    vals = germ.evaluate_batch(path, lefts, rights)
-    return float(math.fsum(vals))
+    return float(math.fsum(germ.evaluate_batch(path, idx[:-1], idx[1:])))
 
 
 def delta_germ(germ: Germ, path: FbmPath, s: float, u: float, t: float) -> float:
-    """Sewing defect A(s,t) - A(s,u) - A(u,t) for s < u < t."""
+    """Sewing defect A(s,t) - A(s,u) - A(u,t) for on-grid s < u < t.
+
+    The three times are mapped to grid indices once and the germ is
+    evaluated on the index pairs of [s,t], [s,u] and [u,t].
+    """
     if not (s < u < t):
         raise DomainError(f"delta_germ needs s < u < t, got ({s!r}, {u!r}, {t!r})")
-    a_st, a_su, a_ut = germ.evaluate_batch(
-        path, np.array([s, s, u]), np.array([t, u, t]))
+    idx = path.indices_of([s, u, t])
+    a_st, a_su, a_ut = germ.evaluate_batch(path, idx[[0, 0, 1]], idx[[2, 1, 2]])
     return float(a_st - a_su - a_ut)
 
 

@@ -128,8 +128,8 @@ def test_cumulative_csv(tmp_path):
 
 
 def _tiny_fit():
-    def batch(path, lefts, rights):
-        return np.asarray(rights) - np.asarray(lefts)
+    def batch(path, i, j):
+        return path.times[j] - path.times[i]
 
     germ = Germ(name="additive", batch=batch)
     return estimate_convergence_rate(

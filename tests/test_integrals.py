@@ -65,6 +65,10 @@ def test_integrand_spec_validation():
         IntegrandSpec("bad", lambda x: x, regularity="holder")
     with pytest.raises(ConfigurationError):
         IntegrandSpec("bad", lambda x: x, regularity="gradient")
+    for bad in (0, True, 1.5):
+        with pytest.raises(ConfigurationError):
+            IntegrandSpec("bad", lambda x: x, dim=bad)
+    assert IntegrandSpec("ok", lambda x: x, dim=np.int64(2)).dim == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,6 +127,17 @@ def test_gamma_validation():
         upcrossing_sum(p, part, 0.5, gamma=-0.1)
 
 
+def test_downcrossing_is_upcrossing_of_mirrored_path():
+    p = sample_fbm(FbmConfig(hurst=0.3, grid_n=2 ** 10, seed=19))
+    mirrored = replace(p, values=-p.values)
+    part = dyadic_partition(1.0, 9)
+    for a in (-0.2, 0.0, 0.3):
+        for gamma in (0.0, 0.5):
+            down = downcrossing_sum(p, part, a, gamma)
+            assert down > 0.0
+            assert down == upcrossing_sum(mirrored, part, -a, gamma)
+
+
 def test_crossing_count_equals_flat_upcross_sum():
     p = sample_fbm(FbmConfig(hurst=0.3, grid_n=2 ** 10, seed=23))
     for n in (2 ** 6, 2 ** 8, 2 ** 10):
@@ -138,8 +150,11 @@ def test_crossing_count_validation():
     p = sample_fbm(FbmConfig(hurst=0.3, grid_n=2 ** 6, seed=0))
     with pytest.raises(AlignmentError):
         crossing_count_estimator(p, 48, 0.0)
-    with pytest.raises(ConfigurationError):
-        crossing_count_estimator(p, 0, 0.0)
+    for bad in (0, True, 16.0):
+        with pytest.raises(ConfigurationError):
+            crossing_count_estimator(p, bad, 0.0)
+    assert crossing_count_estimator(p, np.int64(16), 0.0) == \
+        crossing_count_estimator(p, 16, 0.0)
 
 
 def test_occupation_unit_slope():
@@ -248,8 +263,11 @@ def test_default_level_grid_shape():
     width = p.values.max() - p.values.min()
     assert grid[0] == pytest.approx(p.values.min() - 0.5 * width)
     assert grid[-1] == pytest.approx(p.values.max() + 0.5 * width)
-    with pytest.raises(ConfigurationError):
-        default_level_grid(p, n_levels=1)
+    np.testing.assert_array_equal(default_level_grid(p, n_levels=np.int64(11), pad=0.5),
+                                  grid)
+    for bad in (1, True, 11.0):
+        with pytest.raises(ConfigurationError):
+            default_level_grid(p, n_levels=bad)
 
 
 def test_trapezoid_integral_recovers_occupation_mass():
@@ -359,6 +377,7 @@ def test_upcross_germ_matches_sum():
         upcrossing_sum(p, part, 0.1, gamma=0.5), rel=1e-12)
     # scalar evaluation agrees with the batch route
     s, t = part.breakpoints[3], part.breakpoints[4]
-    assert g.evaluate(p, s, t) == g.batch(p, np.array([s]), np.array([t]))[0]
+    i, j = p.indices_of([s, t])
+    assert g.evaluate(p, s, t) == g.batch(p, np.array([i]), np.array([j]))[0]
     with pytest.raises(DomainError):
         upcross_germ(0.0, gamma=-1.0)

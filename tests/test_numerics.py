@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fracsew import (
     AccuracyError,
+    CapabilityError,
     ConfigurationError,
     DomainError,
     McEstimate,
@@ -74,14 +75,29 @@ def test_gauss_hermite_degenerate_sigma():
     assert gauss_hermite_expect(lambda x: x * x, 3.0, 0.0) == 9.0
 
 
-def test_gauss_hermite_scalar_only_function():
-    got = gauss_hermite_expect(lambda x: float(x) ** 2, 1.0, 1.0)
-    assert got == pytest.approx(2.0, rel=1e-12)
+def test_gauss_hermite_needs_a_vectorized_function():
+    # a scalar-only fn is not retried point by point
+    with pytest.raises(CapabilityError):
+        gauss_hermite_expect(lambda x: np.sum(x ** 2), 1.0, 1.0)
+
+    class Boom(Exception):
+        pass
+
+    def fails(x):
+        raise Boom("inside fn")
+
+    with pytest.raises(Boom, match="inside fn"):
+        gauss_hermite_expect(fails, 1.0, 1.0)
+    with pytest.raises(TypeError, match="only"):
+        gauss_hermite_expect(lambda x: float(x) ** 2, 1.0, 1.0)
 
 
 def test_gauss_hermite_order_validation():
-    with pytest.raises(ConfigurationError):
-        gauss_hermite_expect(lambda x: x, order=1)
+    for bad in (1, True, 64.0):
+        with pytest.raises(ConfigurationError):
+            gauss_hermite_expect(lambda x: x, order=bad)
+    assert gauss_hermite_expect(lambda x: x * x, 0.5, 2.0, order=np.int64(32)) == \
+        gauss_hermite_expect(lambda x: x * x, 0.5, 2.0, order=32)
     with pytest.raises(DomainError):
         gauss_hermite_expect(lambda x: x, sigma=-1.0)
 
@@ -192,8 +208,13 @@ def test_as_seed_spec_validation():
     assert as_seed_spec(9) == SeedSpec(9)
     with pytest.raises(ConfigurationError):
         as_seed_spec("nine")
+    for bad in (-1, True, 3.0):
+        with pytest.raises(ConfigurationError):
+            SeedSpec(bad)
     with pytest.raises(ConfigurationError):
-        SeedSpec(-1)
+        SeedSpec(3, (1, False))
+    assert SeedSpec(np.int64(3), (np.int64(1),)) == SeedSpec(3, (1,))
+    assert as_seed_spec(np.int64(9)) == SeedSpec(9)
 
 
 def test_split_streams_look_uniform():

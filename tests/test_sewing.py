@@ -179,9 +179,7 @@ def _bm_path(seed=0, n=256):
 
 def _increment_germ():
     return Germ(name="increment",
-                batch=lambda path, lefts, rights:
-                    path.values[path.indices_of(rights)]
-                    - path.values[path.indices_of(lefts)])
+                batch=lambda path, i, j: path.values[j] - path.values[i])
 
 
 def test_riemann_sum_telescopes_for_additive_germ():
@@ -210,11 +208,43 @@ def test_delta_germ_zero_for_additive():
         delta_germ(_increment_germ(), path, 0.5, 0.5, 0.75)
 
 
+def test_riemann_sum_passes_grid_indices():
+    """Germs receive the breakpoints' grid indices, looked up once:
+    exactly idx[:-1] and idx[1:], as integer arrays."""
+    path = _bm_path(seed=4)
+    seen = []
+
+    def batch(p, i, j):
+        seen.append((i, j))
+        return p.values[j] - p.values[i]
+
+    part = Partition(path.times[[0, 3, 17, 100, 101, 256]])
+    total = riemann_sum(Germ(name="rec", batch=batch), path, part)
+    (i, j), = seen
+    assert i.dtype.kind == "i" and j.dtype.kind == "i"
+    np.testing.assert_array_equal(i, [0, 3, 17, 100, 101])
+    np.testing.assert_array_equal(j, [3, 17, 100, 101, 256])
+    assert total == pytest.approx(path.values[-1] - path.values[0], rel=1e-12)
+
+
+def test_evaluate_and_delta_germ_resolve_times():
+    path = _bm_path(seed=6)
+    germ = _increment_germ()
+    assert germ.evaluate(path, 0.25, 0.75) == path.value_at(0.75) - path.value_at(0.25)
+    with pytest.raises(AlignmentError):
+        germ.evaluate(path, 0.25, 0.3)
+    with pytest.raises(DomainError):
+        germ.evaluate(path, 0.75, 0.25)
+    with pytest.raises(AlignmentError):
+        delta_germ(germ, path, 0.25, 0.3, 0.75)
+    with pytest.raises(DomainError):
+        delta_germ(germ, path, 0.25, 0.75, 0.5)
+
+
 def test_delta_germ_square_increment():
     # A(s,t) = (B_t - B_s)^2 has defect (x+y)^2 - x^2 - y^2 = 2xy
     path = _bm_path(seed=3)
-    sq = Germ(name="sq", batch=lambda p, lefts, rights:
-              (p.values[p.indices_of(rights)] - p.values[p.indices_of(lefts)]) ** 2)
+    sq = Germ(name="sq", batch=lambda p, i, j: (p.values[j] - p.values[i]) ** 2)
     s, u, t = 0.25, 0.5, 0.75
     want = 2.0 * ((path.value_at(u) - path.value_at(s))
                   * (path.value_at(t) - path.value_at(u)))
@@ -227,8 +257,7 @@ def test_refinement_telescoping_identity():
     here."""
     path = _bm_path(seed=5)
     sq = Germ(name="sq",
-              batch=lambda p, lefts, rights:
-                  (p.values[p.indices_of(rights)] - p.values[p.indices_of(lefts)]) ** 2)
+              batch=lambda p, i, j: (p.values[j] - p.values[i]) ** 2)
     coarse = uniform_partition(1.0, 4)
     fine = coarse.insert(0.125).insert(0.3125)
     lhs = riemann_sum(sq, path, coarse) - riemann_sum(sq, path, fine)
@@ -271,7 +300,7 @@ def test_rate_deterministic_power_germ():
     power plus a documented distance-to-proxy steepening, so the assertion
     window is generous on the high side."""
     germ = Germ(name="pow13",
-                batch=lambda p, lefts, rights: (rights - lefts) ** 1.3)
+                batch=lambda p, i, j: (p.times[j] - p.times[i]) ** 1.3)
     res = estimate_convergence_rate(
         germ, FbmConfig(hurst=0.5, grid_n=2 ** 16, seed=3),
         levels=range(2, 17), replicas=2)
@@ -288,8 +317,7 @@ def test_rate_deterministic_power_germ():
 
 def test_rate_additive_germ_exact():
     germ = Germ(name="inc",
-                batch=lambda p, lefts, rights:
-                    p.values[p.indices_of(rights)] - p.values[p.indices_of(lefts)])
+                batch=lambda p, i, j: p.values[j] - p.values[i])
     res = estimate_convergence_rate(
         germ, FbmConfig(hurst=0.3, grid_n=2 ** 8, seed=1),
         levels=(4, 5, 6, 7, 8), replicas=4)
@@ -302,8 +330,7 @@ def test_rate_squared_increment_brownian():
     """Squared-increment sums at H=1/2 are chi-square with L2 distance
     proportional to sqrt(mesh)."""
     sq = Germ(name="sq",
-              batch=lambda p, lefts, rights:
-                  (p.values[p.indices_of(rights)] - p.values[p.indices_of(lefts)]) ** 2)
+              batch=lambda p, i, j: (p.values[j] - p.values[i]) ** 2)
     res = estimate_convergence_rate(
         sq, FbmConfig(hurst=0.5, grid_n=2 ** 9, seed=21),
         levels=(4, 5, 6, 7, 8, 9), replicas=64)
@@ -313,9 +340,9 @@ def test_rate_squared_increment_brownian():
 
 def test_rate_scaling_invariance():
     base = Germ(name="pow",
-                batch=lambda p, lefts, rights: (rights - lefts) ** 1.4)
+                batch=lambda p, i, j: (p.times[j] - p.times[i]) ** 1.4)
     scaled = Germ(name="pow7x",
-                  batch=lambda p, lefts, rights: 7.0 * (rights - lefts) ** 1.4)
+                  batch=lambda p, i, j: 7.0 * (p.times[j] - p.times[i]) ** 1.4)
     cfg = FbmConfig(hurst=0.5, grid_n=2 ** 8, seed=6)
     a = estimate_convergence_rate(base, cfg, levels=(3, 4, 5, 6, 7, 8), replicas=3)
     b = estimate_convergence_rate(scaled, cfg, levels=(3, 4, 5, 6, 7, 8), replicas=3)
@@ -326,8 +353,7 @@ def test_rate_scaling_invariance():
 
 def test_rate_threading_is_deterministic():
     germ = Germ(name="sq",
-                batch=lambda p, lefts, rights:
-                    (p.values[p.indices_of(rights)] - p.values[p.indices_of(lefts)]) ** 2)
+                batch=lambda p, i, j: (p.values[j] - p.values[i]) ** 2)
     cfg = FbmConfig(hurst=0.7, grid_n=2 ** 7, seed=13)
     one = estimate_convergence_rate(germ, cfg, levels=(3, 4, 5, 6, 7), replicas=8)
     two = estimate_convergence_rate(germ, cfg, levels=(3, 4, 5, 6, 7), replicas=8)
@@ -351,7 +377,7 @@ def test_rate_warns_only_when_declared_exponents_fail():
 
 
 def test_rate_validation():
-    germ = Germ(name="g", batch=lambda p, lefts, rights: rights - lefts)
+    germ = Germ(name="g", batch=lambda p, i, j: p.times[j] - p.times[i])
     cfg = FbmConfig(hurst=0.5, grid_n=2 ** 6, seed=0)
     with pytest.raises(ConfigurationError):
         estimate_convergence_rate(germ, cfg, levels=(3, 4, 5), replicas=4)
