@@ -44,9 +44,11 @@ __all__ = [
 class CoefficientPair:
     """Drift and diffusion of a Young equation, with declared smoothness.
 
-    ``drift`` maps states to states; ``diffusion`` maps states to d x d
-    matrices.  Both must accept arrays with arbitrary leading batch axes
-    when ``vectorized`` is set (the built-ins are).  ``drift_bound`` and
+    Batch contract: for states of shape (..., d), with any leading batch
+    axes, ``drift`` returns shape (..., d) and ``diffusion`` (..., d, d).
+    One Euler loop steps both :func:`young_euler_solve` and
+    :func:`uniqueness_probe`, and raises :class:`CapabilityError` on any
+    other output shape.  ``drift_bound`` and
     ``diffusion_bound`` are declared upper bounds for sup|f| + sup|grad f|;
     they are claims, checkable by :func:`verify_norm_bounds`.
     ``grad_holder_delta`` records the Holder exponent of the diffusion's
@@ -60,7 +62,6 @@ class CoefficientPair:
     diffusion_bound: float | None = None
     grad_holder_delta: float | None = None
     diffusion_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    vectorized: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dim", _as_count(self.dim, "dim", 1))
@@ -78,22 +79,18 @@ def verify_norm_bounds(pair: CoefficientPair, radius: float = 3.0,
     rng = split_seed(seed, 0).generator()
     pts = rng.uniform(-radius, radius, size=(n_points, pair.dim))
     out: dict[str, bool] = {}
-    for tag, fn, bound in (("drift", pair.drift, pair.drift_bound),
-                           ("diffusion", pair.diffusion, pair.diffusion_bound)):
+    for tag, fn, bound, shape in (
+            ("drift", pair.drift, pair.drift_bound, pts.shape),
+            ("diffusion", pair.diffusion, pair.diffusion_bound, pts.shape + (pair.dim,))):
         if bound is None:
             out[tag] = True
             continue
-        sup_f = 0.0
+        sup_f = float(np.max(np.abs(_coefficient(fn, pts, shape, tag))))
         sup_g = 0.0
-        for x in pts:
-            fx = np.asarray(fn(x), dtype=float)
-            sup_f = max(sup_f, float(np.max(np.abs(fx))))
-            for k in range(pair.dim):
-                e = np.zeros(pair.dim)
-                e[k] = h
-                grad = (np.asarray(fn(x + e), dtype=float)
-                        - np.asarray(fn(x - e), dtype=float)) / (2.0 * h)
-                sup_g = max(sup_g, float(np.max(np.abs(grad))))
+        for e in h * np.eye(pair.dim):
+            grad = (_coefficient(fn, pts + e, shape, tag)
+                    - _coefficient(fn, pts - e, shape, tag)) / (2.0 * h)
+            sup_g = max(sup_g, float(np.max(np.abs(grad))))
         out[tag] = sup_f + sup_g <= bound * (1.0 + 1e-6)
     return out
 
@@ -153,50 +150,49 @@ def young_euler_solve(coeffs: CoefficientPair, x0, driver: FbmPath,
         warnings.warn("young_euler_solve outside its guaranteed regime for "
                       f"hurst={driver.hurst}", RegimeWarning, stacklevel=2)
     idx = driver.indices_of(partition.breakpoints)
-    bvals = driver.values[idx]
-    if driver.dim == 1:
-        bvals = bvals[:, None]
-    dt = np.diff(partition.breakpoints)
-    db = np.diff(bvals, axis=0)
-    d = coeffs.dim
-    x = _as_state(x0, d)
-    out = np.empty((partition.n_intervals + 1, d))
-    out[0] = x
-    drift, diffusion = coeffs.drift, coeffs.diffusion
+    bvals = driver.values[idx].reshape(idx.size, driver.dim)
     jacobian = coeffs.diffusion_jacobian if method == "milstein" else None
-    for k in range(partition.n_intervals):
-        xk = x
-        bx = np.atleast_1d(np.asarray(drift(xk), dtype=float))
-        sx = np.asarray(diffusion(xk), dtype=float).reshape(d, d)
-        x = xk + bx * dt[k] + sx @ db[k]
-        if jacobian is not None:
-            jac = float(np.asarray(jacobian(xk), dtype=float).reshape(()))
-            x = x + 0.5 * jac * float(sx.reshape(())) * db[k] ** 2
-        if not np.isfinite(x).all():
-            raise NumericalError(f"non-finite state at step {k}", step=k)
-        out[k + 1] = x
-    values = out[:, 0] if d == 1 else out
+    out = _batched_euler(coeffs, _as_state(x0, coeffs.dim), np.diff(partition.breakpoints),
+                         np.diff(bvals, axis=0), jacobian)
+    values = out[:, 0] if coeffs.dim == 1 else out
     return SolutionPath(times=partition.breakpoints.copy(), values=values,
-                        dim=d, solver=method,
+                        dim=coeffs.dim, solver=method,
                         step_count=partition.n_intervals, driver=driver)
 
 
-def _batched_euler(coeffs: CoefficientPair, x0: np.ndarray, dt: np.ndarray,
-                   db: np.ndarray) -> np.ndarray:
-    """Euler stepping with a batch of states sharing the step grid.
+def _coefficient(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                 shape: tuple[int, ...], tag: str) -> np.ndarray:
+    """``fn(x)`` as floats, held to the batch contract's output shape."""
+    value = np.asarray(fn(x), dtype=float)
+    if value.shape != shape:
+        raise CapabilityError(f"{tag} returned shape {value.shape} for states "
+                              f"of shape {x.shape}; the batch contract needs {shape}")
+    return value
 
-    x0: (R, d); dt: (N,); db: (N, R, d).  Returns (N+1, R, d).  Requires a
-    vectorized coefficient pair; arithmetic per replica matches the public
-    solver's ordering.
+
+def _batched_euler(coeffs: CoefficientPair, x0: np.ndarray, dt: np.ndarray, db: np.ndarray,
+                   jacobian: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+    """Euler stepping of a state of shape (..., d) on a shared step grid.
+
+    x0: (..., d); dt: (N,); db: (N, ..., d), broadcast against the state's
+    batch axes.  Returns (N+1, ..., d).  With ``jacobian`` (d = 1) each step
+    adds the Milstein term (1/2) sigma'(X) sigma(X) dB^2 after the Euler
+    update.
     """
     n_steps = dt.size
     traj = np.empty((n_steps + 1,) + x0.shape)
     traj[0] = x0
     x = x0
+    sigma_shape = x0.shape + x0.shape[-1:]
+    db_col = db[..., None]
     for k in range(n_steps):
-        bx = np.asarray(coeffs.drift(x), dtype=float)
-        sx = np.asarray(coeffs.diffusion(x), dtype=float)
-        x = x + bx * dt[k] + np.einsum("...ij,...j->...i", sx, db[k])
+        xk = x
+        bx = _coefficient(coeffs.drift, xk, x0.shape, "drift")
+        sx = _coefficient(coeffs.diffusion, xk, sigma_shape, "diffusion")
+        x = xk + bx * dt[k] + (sx @ db_col[k])[..., 0]
+        if jacobian is not None:
+            jac = np.asarray(jacobian(xk), dtype=float).reshape(x0.shape)
+            x = x + 0.5 * jac * sx[..., 0] * db[k] ** 2
         if not np.isfinite(x).all():
             raise NumericalError(f"non-finite state at step {k}", step=k)
         traj[k + 1] = x
@@ -295,16 +291,17 @@ def mollify_coefficient(fn: Callable[[np.ndarray], np.ndarray], scale: float,
     return smooth
 
 
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
 def _radial_bump(x: np.ndarray, radius: float) -> np.ndarray:
     """Smooth cutoff: 1 at the origin, support |x| < radius.
 
-    At and beyond the radius the exponent is -inf, and exp(-inf) is 0.
+    From the radius on, r2 is capped just below 1, where exp(1 - 1/(1 - r2)) is 0.
     """
     r2 = np.add.reduce(x * x, axis=-1) / (radius * radius)
-    capped = np.minimum(r2, 1.0)
-    with np.errstate(divide="ignore"):
-        expo = 1.0 - 1.0 / (1.0 - capped)
-    return np.exp(expo)
+    capped = np.minimum(r2, _BELOW_ONE)
+    return np.exp(1.0 - 1.0 / (1.0 - capped))
 
 
 def builtin_holder_sigma(delta: float, dim: int = 1, kappa: float = 0.5,
@@ -356,8 +353,7 @@ def constant_pair(matrix, dim: int = 1) -> CoefficientPair:
     bound = float(np.max(np.abs(mat)))
     return CoefficientPair(drift=_zero_drift(dim), diffusion=sigma, dim=dim,
                            name="constant", drift_bound=0.0,
-                           diffusion_bound=bound, grad_holder_delta=None,
-                           vectorized=True)
+                           diffusion_bound=bound, grad_holder_delta=None)
 
 
 def geometric_pair() -> CoefficientPair:
@@ -373,8 +369,7 @@ def geometric_pair() -> CoefficientPair:
         return np.ones(x.shape[:-1] + (1, 1, 1))
 
     return CoefficientPair(drift=_zero_drift(1), diffusion=sigma, dim=1,
-                           name="geometric", diffusion_jacobian=jac,
-                           vectorized=True)
+                           name="geometric", diffusion_jacobian=jac)
 
 
 def holder_pair(delta: float, dim: int = 1, kappa: float = 0.5,
@@ -388,7 +383,7 @@ def holder_pair(delta: float, dim: int = 1, kappa: float = 0.5,
         name=f"holder(delta={delta:g},drift={drift_strength:g})",
         drift_bound=2.0 * drift_strength if drift_strength else 0.0,
         diffusion_bound=1.0 + kappa * (radius ** (1.0 + delta)) * 4.0,
-        grad_holder_delta=delta, vectorized=True)
+        grad_holder_delta=delta)
 
 
 class Thresholds(NamedTuple):
@@ -485,8 +480,6 @@ def uniqueness_probe(hurst: float, delta: float, *, x0: float = 0.1,
     replicas = _as_count(replicas, "replicas", 1)
     if coeffs is None:
         coeffs = holder_pair(delta, dim=1)
-    if not coeffs.vectorized:
-        raise CapabilityError("uniqueness_probe needs a vectorized coefficient pair")
     dim = coeffs.dim
 
     finest = levels[-1]
@@ -496,8 +489,7 @@ def uniqueness_probe(hurst: float, delta: float, *, x0: float = 0.1,
         cfg = FbmConfig(hurst=hurst, horizon=horizon, grid_n=grid_n,
                         seed=split_seed(seed, r), dim=dim)
         drivers.append(sample_fbm(cfg, method="circulant"))
-    stack = np.stack(
-        [d.values[:, None] if dim == 1 else d.values for d in drivers], axis=1)
+    stack = np.stack([d.values.reshape(grid_n + 1, dim) for d in drivers], axis=1)
     times = drivers[0].times
     # all scales of one mesh level step as one (S, R, d) state on shared
     # increments; each scale's mollified sigma is still called on its own

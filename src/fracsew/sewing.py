@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, FracsewError, RegimeWarning
+from .errors import (AlignmentError, ConfigurationError, DomainError,
+                     FracsewError, RegimeWarning)
 from .fbm import FbmConfig, FbmPath, sample_fbm
 from .numerics import McEstimate, _as_count, mc_lm_norm, mc_mean, split_seed
 
@@ -219,9 +220,9 @@ class Germ:
     exponents: SewingExponents | None = None
 
     def evaluate(self, path: FbmPath, s: float, t: float) -> float:
-        if not s < t:
-            raise DomainError(f"germ interval needs s < t, got ({s!r}, {t!r})")
         idx = path.indices_of([s, t])
+        if not idx[0] < idx[1]:
+            raise DomainError(f"germ interval needs s < t on the grid, got ({s!r}, {t!r})")
         return float(self.evaluate_batch(path, idx[:1], idx[1:])[0])
 
     def evaluate_batch(self, path: FbmPath, i: np.ndarray,
@@ -233,12 +234,15 @@ def riemann_sum(germ: Germ, path: FbmPath, partition: Partition) -> float:
     """Sum of the germ over consecutive partition intervals.
 
     The breakpoints are mapped to grid indices ``idx`` once (they must lie
-    on the path grid) and the germ is evaluated on ``idx[:-1], idx[1:]``.
+    on distinct grid points) and the germ is evaluated on ``idx[:-1], idx[1:]``.
     Accumulation is compensated (correctly-rounded) in breakpoint order, so
     the result does not depend on evaluation batching.
     """
     idx = path.indices_of(partition.breakpoints)
-    return float(math.fsum(germ.evaluate_batch(path, idx[:-1], idx[1:])))
+    i, j = idx[:-1], idx[1:]
+    if not (j > i).all():
+        raise AlignmentError("two breakpoints map to the same grid point")
+    return float(math.fsum(germ.evaluate_batch(path, i, j)))
 
 
 def delta_germ(germ: Germ, path: FbmPath, s: float, u: float, t: float) -> float:
@@ -247,9 +251,9 @@ def delta_germ(germ: Germ, path: FbmPath, s: float, u: float, t: float) -> float
     The three times are mapped to grid indices once and the germ is
     evaluated on the index pairs of [s,t], [s,u] and [u,t].
     """
-    if not (s < u < t):
-        raise DomainError(f"delta_germ needs s < u < t, got ({s!r}, {u!r}, {t!r})")
     idx = path.indices_of([s, u, t])
+    if not idx[0] < idx[1] < idx[2]:
+        raise DomainError(f"delta_germ needs s < u < t on the grid, got ({s!r}, {u!r}, {t!r})")
     a_st, a_su, a_ut = germ.evaluate_batch(path, idx[[0, 0, 1]], idx[[2, 1, 2]])
     return float(a_st - a_su - a_ut)
 

@@ -89,6 +89,16 @@ def test_euler_dimension_checks():
     with pytest.raises(ConfigurationError):
         young_euler_solve(constant_pair(1.0), 0.0, p,
                           uniform_partition(1.0, 8), method="heun")
+    # coefficients outside the batch contract: a scalar drift, a (d,) sigma
+    scalar_drift = CoefficientPair(drift=lambda x: 0.0,
+                                   diffusion=lambda x: np.eye(1), dim=1)
+    with pytest.raises(CapabilityError, match="drift"):
+        young_euler_solve(scalar_drift, 0.0, p, uniform_partition(1.0, 8))
+    flat_sigma = CoefficientPair(drift=lambda x: np.zeros_like(x),
+                                 diffusion=lambda x: np.ones_like(x), dim=2)
+    with pytest.raises(CapabilityError, match="diffusion"):
+        young_euler_solve(flat_sigma, [0.0, 0.0], _driver(n=8, dim=2),
+                          uniform_partition(1.0, 8))
 
 
 def test_euler_warns_for_rough_driver():
@@ -341,12 +351,19 @@ def test_verify_norm_bounds():
                             diffusion=lambda x: np.eye(1), dim=1,
                             drift_bound=0.5)
     assert verify_norm_bounds(lying)["drift"] is False
+    # d = 2: every sample point in one call per shift, both coordinates shifted
+    assert verify_norm_bounds(holder_pair(0.3, dim=2, drift_strength=0.25)) == {
+        "drift": True, "diffusion": True}
+    # sup|f| = 0.2, but the x_2-derivative of f_1 reaches 0.8
+    steep = CoefficientPair(drift=lambda x: 0.2 * np.sin(4.0 * x[..., ::-1]) * [1.0, 0.0],
+                            diffusion=holder_pair(0.3, dim=2).diffusion, dim=2,
+                            drift_bound=0.5)
+    assert verify_norm_bounds(steep)["drift"] is False
 
 
 def test_holder_pair_metadata():
     pair = holder_pair(0.3, drift_strength=0.25)
     assert pair.grad_holder_delta == 0.3
-    assert pair.vectorized
     assert "holder(delta=0.3" in pair.name
     checked = verify_norm_bounds(pair)
     assert checked["drift"] and checked["diffusion"]
@@ -380,8 +397,7 @@ def test_probe_validation():
         uniqueness_probe(0.75, 0.3, mesh_levels=(7, 8), scales=(0.25, 0.125),
                          replicas=0)
     slow = CoefficientPair(drift=lambda x: np.zeros_like(x),
-                           diffusion=lambda x: np.eye(1), dim=1,
-                           vectorized=False)
+                           diffusion=lambda x: np.eye(1), dim=1)
     with pytest.raises(CapabilityError):
         uniqueness_probe(0.75, 0.3, coeffs=slow, mesh_levels=(7, 8),
                          scales=(0.25, 0.125))

@@ -239,6 +239,13 @@ def test_evaluate_and_delta_germ_resolve_times():
         delta_germ(germ, path, 0.25, 0.3, 0.75)
     with pytest.raises(DomainError):
         delta_germ(germ, path, 0.25, 0.75, 0.5)
+    # distinct times within the grid tolerance resolve to one grid point
+    with pytest.raises(DomainError):
+        germ.evaluate(path, 0.25, 0.25 + 1e-12)
+    with pytest.raises(DomainError):
+        delta_germ(germ, path, 0.25, 0.25 + 1e-12, 0.5)
+    with pytest.raises(AlignmentError):
+        riemann_sum(germ, path, Partition([0.0, 0.25, 0.25 + 1e-12, 1.0]))
 
 
 def test_delta_germ_square_increment():
