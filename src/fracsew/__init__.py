@@ -1,70 +1,18 @@
 """fracsew: fractional Brownian paths, sewing-rate experiments, integrals,
 local time, and Young SDE probes."""
 
-from .errors import (AccuracyError, AlignmentError, CapabilityError,
-                     ConfigurationError, DomainError, EmbeddingError,
-                     FracsewError, NumericalError, RegimeWarning)
-from .fbm import (ConditionalMoments, DrivingNoise, FbmConfig, FbmPath,
-                  KernelCorrelation, c_h, conditional_increment_moments,
-                  fbm_cov, fgn_cov, kernel_cell_weights, kernel_correlation,
-                  mvn_kernel, sample_fbm)
-from .fsde import (CoefficientPair, ProbeReport, SolutionPath, Thresholds,
-                   bounded_drift, builtin_holder_sigma, constant_pair,
-                   delta_thresholds, geometric_pair, holder_pair,
-                   holder_seminorm, mollify_coefficient, uniqueness_probe,
-                   verify_norm_bounds, young_euler_solve)
-from .integrals import (IntegrandSpec, chain_rule_oracle,
-                        conditional_ito_oracle, conditional_mc_check,
-                        gaussian_smooth_F, get_integrand, ito_germ,
-                        ito_left_sum, stratonovich_germ,
-                        stratonovich_trapezoid_sum, variation_germ,
-                        variation_reference, variation_sum)
-from .local_time import (CumulativeCurve, LocalTimeCurve, bidirectional_sum,
-                         crossing_count_estimator, cumulative_local_time,
-                         default_bandwidth, default_level_grid,
-                         downcrossing_sum, frak_c,
-                         frak_c_quadrature, lm_distance_over_levels,
-                         local_time_curve, occupation_density_estimator,
-                         upcross_germ, upcrossing_excess_sum, upcrossing_sum,
-                         validate_m_condition)
-from .numerics import (McEstimate, QuadResult, SeedSpec, adaptive_quad,
-                       as_seed_spec, beta, gauss_hermite_expect, log_gamma,
-                       mc_lm_norm, mc_mean, normal_abs_moment, split_seed)
-from .sewing import (Germ, Partition, RateFitResult, SewingExponents,
-                     coarsen, delta_germ, dyadic_partition,
-                     estimate_convergence_rate, random_partition,
-                     riemann_sum, uniform_partition)
+from . import errors, fbm, fsde, integrals, local_time, numerics, sewing
+from .errors import *  # noqa: F403
+from .fbm import *  # noqa: F403
+from .fsde import *  # noqa: F403
+from .integrals import *  # noqa: F403
+from .local_time import *  # noqa: F403
+from .numerics import *  # noqa: F403
+from .sewing import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyError", "AlignmentError", "CapabilityError",
-    "ConfigurationError", "DomainError", "EmbeddingError", "FracsewError",
-    "NumericalError", "RegimeWarning",
-    "ConditionalMoments", "DrivingNoise", "FbmConfig", "FbmPath",
-    "KernelCorrelation", "c_h", "conditional_increment_moments", "fbm_cov",
-    "fgn_cov", "kernel_correlation", "mvn_kernel", "sample_fbm",
-    "CoefficientPair", "ProbeReport", "SolutionPath", "Thresholds",
-    "bounded_drift", "builtin_holder_sigma", "constant_pair",
-    "delta_thresholds", "geometric_pair", "holder_pair", "holder_seminorm",
-    "mollify_coefficient", "uniqueness_probe", "verify_norm_bounds",
-    "young_euler_solve",
-    "IntegrandSpec", "chain_rule_oracle", "conditional_ito_oracle",
-    "conditional_mc_check", "gaussian_smooth_F", "get_integrand", "ito_germ",
-    "ito_left_sum", "stratonovich_germ", "stratonovich_trapezoid_sum",
-    "variation_germ", "variation_reference", "variation_sum",
-    "CumulativeCurve", "LocalTimeCurve", "bidirectional_sum",
-    "crossing_count_estimator", "cumulative_local_time",
-    "default_bandwidth", "default_level_grid", "downcrossing_sum",
-    "frak_c", "frak_c_quadrature",
-    "lm_distance_over_levels", "local_time_curve",
-    "occupation_density_estimator", "upcross_germ", "upcrossing_excess_sum",
-    "upcrossing_sum", "validate_m_condition",
-    "McEstimate", "QuadResult", "SeedSpec", "adaptive_quad", "as_seed_spec",
-    "beta", "gauss_hermite_expect", "log_gamma", "mc_lm_norm", "mc_mean",
-    "normal_abs_moment", "split_seed",
-    "Germ", "Partition", "RateFitResult", "SewingExponents", "coarsen",
-    "delta_germ", "dyadic_partition", "estimate_convergence_rate",
-    "random_partition", "riemann_sum", "uniform_partition",
-    "__version__",
-]
+# each public name is listed once, in its layer module's __all__
+__all__ = [name for layer in (errors, fbm, fsde, integrals, local_time,
+                              numerics, sewing)
+           for name in layer.__all__] + ["__version__"]

@@ -8,6 +8,18 @@ computation itself as failed (:class:`AccuracyError`, :class:`EmbeddingError`,
 """
 from __future__ import annotations
 
+__all__ = [
+    "FracsewError",
+    "DomainError",
+    "ConfigurationError",
+    "AlignmentError",
+    "CapabilityError",
+    "AccuracyError",
+    "EmbeddingError",
+    "NumericalError",
+    "RegimeWarning",
+]
+
 
 class FracsewError(Exception):
     """Base class for every error raised by this package."""

@@ -19,7 +19,7 @@ from .errors import (CapabilityError, ConfigurationError, DomainError,
                      NumericalError, RegimeWarning)
 from .fbm import FbmConfig, FbmPath, sample_fbm
 from .numerics import _as_count, _hermite_rule, split_seed
-from .sewing import Partition
+from .sewing import Partition, _interval_indices
 
 __all__ = [
     "CoefficientPair",
@@ -149,11 +149,11 @@ def young_euler_solve(coeffs: CoefficientPair, x0, driver: FbmPath,
     if driver.hurst <= 0.5:
         warnings.warn("young_euler_solve outside its guaranteed regime for "
                       f"hurst={driver.hurst}", RegimeWarning, stacklevel=2)
-    idx = driver.indices_of(partition.breakpoints)
-    bvals = driver.values[idx].reshape(idx.size, driver.dim)
+    i, j = _interval_indices(driver, partition)
+    db = (driver.values[j] - driver.values[i]).reshape(i.size, driver.dim)
     jacobian = coeffs.diffusion_jacobian if method == "milstein" else None
     out = _batched_euler(coeffs, _as_state(x0, coeffs.dim), np.diff(partition.breakpoints),
-                         np.diff(bvals, axis=0), jacobian)
+                         db, jacobian)
     values = out[:, 0] if coeffs.dim == 1 else out
     return SolutionPath(times=partition.breakpoints.copy(), values=values,
                         dim=coeffs.dim, solver=method,

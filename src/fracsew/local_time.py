@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigurationError, DomainError, RegimeWarning
 from .fbm import FbmPath, c_h
-from .numerics import _as_count, adaptive_quad, log_gamma
-from .sewing import Germ, Partition, riemann_sum
+from .numerics import _as_count, adaptive_quad, normal_abs_moment
+from .sewing import Germ, Partition, _interval_indices, riemann_sum
 
 __all__ = [
     "frak_c",
@@ -50,16 +50,13 @@ __all__ = [
 def frak_c(hurst: float, gamma: float) -> float:
     """Limiting constant of the gamma-weighted up-crossing sums.
 
-    Equals E[(W)_+^(1+gamma)] with W ~ N(0, c_h(hurst)); in closed form
-    c_h^((1+gamma)/2) 2^(gamma/2) Gamma(gamma/2 + 1) / sqrt(2 pi).  At
-    gamma=0 this is sqrt(c_h / (2 pi)), at gamma=1 it is c_h / 2.
+    Equals E[(W)_+^(1+gamma)] with W ~ N(0, c_h(hurst)), which is half the
+    absolute moment: c_h^((1+gamma)/2) E|Z|^(1+gamma) / 2.  At gamma=0 this
+    is sqrt(c_h / (2 pi)), at gamma=1 it is c_h / 2.
     """
     if not 0.0 <= gamma:
         raise DomainError(f"gamma must be nonnegative, got {gamma!r}")
-    c = c_h(hurst)
-    logv = (0.5 * (1.0 + gamma) * math.log(c) + 0.5 * gamma * math.log(2.0)
-            + log_gamma(0.5 * gamma + 1.0) - 0.5 * math.log(2.0 * math.pi))
-    return math.exp(logv)
+    return 0.5 * c_h(hurst) ** (0.5 * (1.0 + gamma)) * normal_abs_moment(1.0 + gamma)
 
 
 def frak_c_quadrature(hurst: float, gamma: float, tol: float = 1e-12) -> float:
@@ -99,10 +96,9 @@ def _check_one_dim(path: FbmPath) -> None:
 
 def _crossing_arrays(path: FbmPath, partition: Partition):
     _check_one_dim(path)
-    idx = path.indices_of(partition.breakpoints)
-    vals = path.values[idx]
+    i, j = _interval_indices(path, partition)
     # the grid times' differences, as the crossing germ takes them
-    return vals[:-1], vals[1:], np.diff(path.times[idx])
+    return path.values[i], path.values[j], path.times[j] - path.times[i]
 
 
 def _crossing_weight(dt: np.ndarray, inc: np.ndarray, hurst: float,
@@ -315,7 +311,7 @@ def local_time_curve(path: FbmPath, partition: Partition, estimator: str,
     (uniform-grid up-crossing count), ``"excess"``, ``"bidirectional"`` or
     ``"occupation"``.  With ``normalized=True`` the estimator's limiting
     constant is divided out so all tags estimate the same curve:
-    frak_c(H, gamma) for upcross, sqrt(c_h/(2 pi)) for count,
+    frak_c(H, gamma) for upcross, frak_c(H, 0) for count,
     2 frak_c for bidirectional, H frak_c(H, 1/H - 1) for excess; the
     occupation estimator is already on the local-time scale.
     """
@@ -348,7 +344,7 @@ def local_time_curve(path: FbmPath, partition: Partition, estimator: str,
         tag = f"bidirectional(gamma={gamma:g})"
     elif estimator == "count":
         values = _crossing_curve_values(left, right, dt, H, 0.0, levels)
-        scale = math.sqrt(c_h(H) / (2.0 * math.pi)) if normalized else 1.0
+        scale = frak_c(H, 0.0) if normalized else 1.0
         tag = "count"
     elif estimator == "excess":
         values = _excess_curve_values(left, right, H, levels)
@@ -392,8 +388,7 @@ def cumulative_local_time(path: FbmPath, partition: Partition, a: float, *,
         raise ConfigurationError(
             f"cumulative curves support 'upcross' and 'bidirectional', got {estimator!r}")
     _check_one_dim(path)
-    idx = path.indices_of(partition.breakpoints)
-    i, j = idx[:-1], idx[1:]
+    i, j = _interval_indices(path, partition)
     H = path.hurst
     contrib = _crossing_germ(a, gamma, "up").evaluate_batch(path, i, j)
     scale = frak_c(H, gamma)

@@ -95,20 +95,6 @@ class Partition:
         return bool(np.isin(coarser.breakpoints, self.breakpoints,
                             assume_unique=True).all())
 
-    def insert(self, t: float) -> "Partition":
-        t = float(t)
-        if not (0.0 < t < self.horizon):
-            raise DomainError(f"insertion point {t!r} outside (0, horizon)")
-        if t in self.breakpoints:
-            raise DomainError(f"breakpoint {t!r} already present")
-        return Partition(np.sort(np.append(self.breakpoints, t)))
-
-    def remove_interior(self, index: int) -> "Partition":
-        """Drop the index-th interior breakpoint (0-based among interiors)."""
-        if not (0 <= index < self.n_intervals - 1):
-            raise DomainError(f"no interior breakpoint at position {index!r}")
-        return Partition(np.delete(self.breakpoints, index + 1))
-
 
 def uniform_partition(horizon: float, n: int) -> Partition:
     n = _as_count(n, "n", 1)
@@ -230,18 +216,27 @@ class Germ:
         return np.asarray(self.batch(path, i, j), dtype=float)
 
 
-def riemann_sum(germ: Germ, path: FbmPath, partition: Partition) -> float:
-    """Sum of the germ over consecutive partition intervals.
+def _interval_indices(path: FbmPath, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices ``(i, j)`` of the left and right ends of each interval.
 
-    The breakpoints are mapped to grid indices ``idx`` once (they must lie
-    on distinct grid points) and the germ is evaluated on ``idx[:-1], idx[1:]``.
-    Accumulation is compensated (correctly-rounded) in breakpoint order, so
-    the result does not depend on evaluation batching.
+    The breakpoints are mapped to grid indices once; they must lie on
+    distinct grid points, else :class:`AlignmentError`.
     """
     idx = path.indices_of(partition.breakpoints)
     i, j = idx[:-1], idx[1:]
     if not (j > i).all():
         raise AlignmentError("two breakpoints map to the same grid point")
+    return i, j
+
+
+def riemann_sum(germ: Germ, path: FbmPath, partition: Partition) -> float:
+    """Sum of the germ over consecutive partition intervals.
+
+    The germ is evaluated on the :func:`_interval_indices` of the partition.
+    Accumulation is compensated (correctly-rounded) in breakpoint order, so
+    the result does not depend on evaluation batching.
+    """
+    i, j = _interval_indices(path, partition)
     return float(math.fsum(germ.evaluate_batch(path, i, j)))
 
 
@@ -273,25 +268,20 @@ class RateFitResult:
     exact: bool
 
 
-def _ols_loglog(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float, float]:
-    slope, intercept = np.polyfit(log_x, log_y, 1)
-    fitted = slope * log_x + intercept
-    ss_res = float(np.sum((log_y - fitted) ** 2))
-    ss_tot = float(np.sum((log_y - log_y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
-
-
 def _fit_rate(meshes: np.ndarray, distances: np.ndarray) -> tuple[float, float]:
-    """Plain log-log OLS of distance against mesh.
+    """Slope and R^2 of the plain log-log OLS of distance against mesh.
 
     Distances are measured against the finest-level sum rather than the
     unobservable limit, so the points nearest the proxy are deflated; the
     caller drops the two finest levels to keep that contamination mild.
     Generous level ranges tighten the estimate further.
     """
-    slope, _, r2 = _ols_loglog(np.log(meshes), np.log(distances))
-    return slope, r2
+    log_x, log_y = np.log(meshes), np.log(distances)
+    slope, intercept = np.polyfit(log_x, log_y, 1)
+    ss_res = float(np.sum((log_y - (slope * log_x + intercept)) ** 2))
+    ss_tot = float(np.sum((log_y - log_y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return float(slope), r2
 
 
 def estimate_convergence_rate(germ: Germ,

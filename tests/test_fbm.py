@@ -34,8 +34,7 @@ from fracsew.fbm import _circulant_sqrt_eigs
 
 
 def test_c_h_is_one_at_half():
-    # exact value is 1; the log-gamma route loses ~1 ulp per term
-    assert abs(c_h(0.5) - 1.0) <= 1e-13
+    assert c_h(0.5) == 1.0
 
 
 def test_c_h_against_beta_integral():

@@ -16,25 +16,11 @@ from fracsew import (
     as_seed_spec,
     beta,
     gauss_hermite_expect,
-    log_gamma,
     mc_lm_norm,
     mc_mean,
     normal_abs_moment,
     split_seed,
 )
-
-
-def test_log_gamma_matches_stdlib():
-    xs = np.geomspace(1e-3, 1e3, 400)
-    for x in xs:
-        want = math.lgamma(x)
-        got = log_gamma(float(x))
-        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), x
-
-
-def test_log_gamma_half_integer():
-    # Gamma(1/2) = sqrt(pi)
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-14)
 
 
 @given(st.floats(0.05, 50.0), st.floats(0.05, 50.0))

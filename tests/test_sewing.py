@@ -15,15 +15,20 @@ from fracsew import (
     RegimeWarning,
     SewingExponents,
     coarsen,
+    constant_pair,
+    cumulative_local_time,
     delta_germ,
     dyadic_partition,
     estimate_convergence_rate,
     get_integrand,
     ito_germ,
+    local_time_curve,
     random_partition,
     riemann_sum,
     sample_fbm,
     uniform_partition,
+    upcrossing_excess_sum,
+    young_euler_solve,
 )
 from fracsew.sewing import Germ
 
@@ -72,7 +77,7 @@ def test_partition_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != uniform_partition(1.0, 8)
-    assert a != a.insert(0.125)
+    assert a != Partition(np.array([0.0, 0.125, 0.25, 0.5, 0.75, 1.0]))
     assert a != (0.0, 0.25, 0.5, 0.75, 1.0)
     assert len({a, b, uniform_partition(1.0, 8)}) == 2
 
@@ -83,24 +88,12 @@ def test_partition_lefts_rights():
     np.testing.assert_array_equal(p.rights, [0.25, 0.5, 0.75, 1.0])
 
 
-def test_partition_insert_remove():
-    p = uniform_partition(1.0, 2)
-    q = p.insert(0.3)
-    np.testing.assert_array_equal(q.breakpoints, [0.0, 0.3, 0.5, 1.0])
-    assert q.refines(p)
-    assert not p.refines(q)
-    back = q.remove_interior(0)
-    np.testing.assert_array_equal(back.breakpoints, p.breakpoints)
-    with pytest.raises(DomainError):
-        p.insert(0.5)
-    with pytest.raises(DomainError):
-        p.insert(1.5)
-    with pytest.raises(DomainError):
-        p.remove_interior(5)
-
-
 def test_refines_requires_same_horizon():
     assert not uniform_partition(2.0, 4).refines(uniform_partition(1.0, 2))
+    p = uniform_partition(1.0, 2)
+    q = Partition(np.array([0.0, 0.3, 0.5, 1.0]))
+    assert q.refines(p)
+    assert not p.refines(q)
 
 
 def test_random_partition_valid_and_seeded():
@@ -248,6 +241,22 @@ def test_evaluate_and_delta_germ_resolve_times():
         riemann_sum(germ, path, Partition([0.0, 0.25, 0.25 + 1e-12, 1.0]))
 
 
+@pytest.mark.parametrize("consumer", [
+    lambda path, part: upcrossing_excess_sum(path, part, 0.0),
+    lambda path, part: local_time_curve(path, part, "upcross", [-1.0, 0.0, 1.0]),
+    lambda path, part: cumulative_local_time(path, part, 0.0),
+    lambda path, part: young_euler_solve(constant_pair(1.0), 0.0, path, part),
+], ids=["upcrossing_excess_sum", "local_time_curve", "cumulative_local_time",
+        "young_euler_solve"])
+def test_breakpoints_on_one_grid_point_are_rejected(consumer):
+    """The partition consumers besides riemann_sum reject two breakpoints
+    that round to the same grid point, as riemann_sum does, instead of
+    using an empty interval."""
+    path = sample_fbm(FbmConfig(hurst=0.75, grid_n=8, seed=0))
+    with pytest.raises(AlignmentError, match="same grid point"):
+        consumer(path, Partition([0.0, 0.25, 0.25 + 1e-12, 0.5, 1.0]))
+
+
 def test_delta_germ_square_increment():
     # A(s,t) = (B_t - B_s)^2 has defect (x+y)^2 - x^2 - y^2 = 2xy
     path = _bm_path(seed=3)
@@ -266,10 +275,10 @@ def test_refinement_telescoping_identity():
     sq = Germ(name="sq",
               batch=lambda p, i, j: (p.values[j] - p.values[i]) ** 2)
     coarse = uniform_partition(1.0, 4)
-    fine = coarse.insert(0.125).insert(0.3125)
+    fine = Partition(np.array([0.0, 0.125, 0.25, 0.3125, 0.5, 0.75, 1.0]))
     lhs = riemann_sum(sq, path, coarse) - riemann_sum(sq, path, fine)
     # insert the two points one at a time; each insertion contributes one defect
-    step1 = coarse.insert(0.125)
+    step1 = Partition(np.array([0.0, 0.125, 0.25, 0.5, 0.75, 1.0]))
     defects = (delta_germ(sq, path, 0.0, 0.125, 0.25)
                + delta_germ(sq, path, 0.25, 0.3125, 0.5))
     assert lhs == pytest.approx(defects, rel=1e-10, abs=1e-13)
