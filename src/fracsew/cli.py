@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .csvio import (format_value, parse_scalar, read_table,
+from .csvio import (_meta_lines, format_value, parse_scalar, read_table,
                     write_cumulative_csv, write_curve_csv, write_path_csv,
                     write_probe_csv, write_rate_csv, write_table)
 from .errors import (AccuracyError, AlignmentError, CapabilityError,
@@ -197,7 +197,7 @@ def cmd_sample(cfg: dict, out_dir: str) -> int:
 
 
 def _write_summary(file_path: str, meta: dict, entries: dict) -> None:
-    lines = [f"# {k}={format_value(v)}" for k, v in meta.items()]
+    lines = _meta_lines(meta)
     lines.extend(f"{k}={format_value(v)}" for k, v in entries.items())
     with open(file_path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

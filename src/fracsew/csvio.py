@@ -35,8 +35,15 @@ __all__ = [
 
 
 def format_value(v) -> str:
-    """Render one cell or metadata value deterministically."""
-    if isinstance(v, bool):
+    """Render one cell or metadata value deterministically.
+
+    This is the one rule for a cell's text: bools (numpy's too) as
+    ``true``/``false``, integers in decimal, floats with 17 significant
+    digits, anything else through ``str``.
+    """
+    if type(v) is float:
+        return format(v, ".17g")
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -45,15 +52,20 @@ def format_value(v) -> str:
     return str(v)
 
 
+def _meta_lines(meta: dict) -> list[str]:
+    """``# key=value`` comment lines of a metadata dict, in its order."""
+    return [f"# {key}={format_value(val)}" for key, val in meta.items()]
+
+
 def write_table(file_path: str, columns: list[str], rows,
                 meta: dict | None = None) -> None:
-    """Write comment metadata, a header row, and data rows."""
-    lines = []
-    for key, val in (meta or {}).items():
-        lines.append(f"# {key}={format_value(val)}")
+    """Write comment metadata, a header row, and data rows.
+
+    Rows of Python scalars (``ndarray.tolist()``) format fastest.
+    """
+    lines = _meta_lines(meta or {})
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(format_value(cell) for cell in row))
+    lines.extend(",".join(map(format_value, row)) for row in rows)
     with open(file_path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -118,13 +130,13 @@ def write_path_csv(file_path: str, path: FbmPath,
         "method": path.method,
     }
     base.update(meta or {})
+    times, values = path.times.tolist(), path.values.tolist()
     if path.dim == 1:
         columns = ["t", "value"]
-        rows = zip(path.times, path.values)
+        rows = zip(times, values)
     else:
         columns = ["t"] + [f"value{k}" for k in range(path.dim)]
-        rows = (
-            (t, *vals) for t, vals in zip(path.times, path.values))
+        rows = ((t, *vals) for t, vals in zip(times, values))
     write_table(file_path, columns, rows, base)
 
 
@@ -165,7 +177,7 @@ def write_curve_csv(file_path: str, curve: LocalTimeCurve,
     }
     base.update(meta or {})
     write_table(file_path, ["level", "value"],
-                zip(curve.levels, curve.values), base)
+                zip(curve.levels.tolist(), curve.values.tolist()), base)
 
 
 def read_curve_csv(file_path: str):
@@ -183,7 +195,7 @@ def write_cumulative_csv(file_path: str, curve: CumulativeCurve,
     }
     base.update(meta or {})
     write_table(file_path, ["t", "value"],
-                zip(curve.times, curve.values), base)
+                zip(curve.times.tolist(), curve.values.tolist()), base)
 
 
 def write_probe_csv(file_path: str, report: ProbeReport,
@@ -205,7 +217,7 @@ def write_probe_csv(file_path: str, report: ProbeReport,
     }
     base.update(meta or {})
     rows = ((int(r[0]), int(r[1]), r[2], int(r[3]), r[4], r[5])
-            for r in report.pair_table)
+            for r in report.pair_table.tolist())
     write_table(file_path,
                 ["replica", "level_a", "scale_a", "level_b", "scale_b",
                  "sup_distance"],

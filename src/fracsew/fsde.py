@@ -9,6 +9,7 @@ branching a non-unique equation would produce.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -515,15 +516,14 @@ def uniqueness_probe(hurst: float, delta: float, *, x0: float = 0.1,
         for j, sc in enumerate(scales):
             trajs[lev, sc] = traj[:, j]
 
-    rows = []
-    for i, cell_a in enumerate(cells):
-        for cell_b in cells[i + 1:]:
-            dists = _sup_distance(trajs[cell_a], trajs[cell_b],
-                                  cell_a[0], cell_b[0])
-            for r in range(replicas):
-                rows.append((float(r), float(cell_a[0]), cell_a[1],
-                             float(cell_b[0]), cell_b[1], float(dists[r])))
-    pair_table = np.array(rows, dtype=float)
+    pairs = list(itertools.combinations(cells, 2))
+    pair_table = np.empty((len(pairs), replicas, 6))
+    pair_table[:, :, 0] = np.arange(replicas)
+    for block, (cell_a, cell_b) in zip(pair_table, pairs):
+        block[:, 1:5] = (cell_a[0], cell_a[1], cell_b[0], cell_b[1])
+        block[:, 5] = _sup_distance(trajs[cell_a], trajs[cell_b],
+                                    cell_a[0], cell_b[0])
+    pair_table = pair_table.reshape(-1, 6)
 
     n_diag = min(len(levels), len(scales))
     lev_pick = [round(k * (len(levels) - 1) / (n_diag - 1)) for k in range(n_diag)]

@@ -198,7 +198,7 @@ def occupation_density_estimator(path: FbmPath, a: float,
         raise DomainError("occupation estimator is one-dimensional")
     dt = np.diff(path.times)
     inside = np.abs(path.values[:-1] - a) <= bandwidth
-    return float(math.fsum(dt[inside])) / (2.0 * bandwidth)
+    return math.fsum(dt[inside].tolist()) / (2.0 * bandwidth)
 
 
 def default_bandwidth(path: FbmPath) -> float:
@@ -281,7 +281,7 @@ def _crossing_curve_values(low, high, dt, hurst, gamma, levels):
 def _excess_at(left, right, a, p):
     """|B_t - a|^p summed over the intervals with B_s < a < B_t."""
     mask = (left < a) & (a < right)
-    return math.fsum(np.abs(right[mask] - a) ** p)
+    return math.fsum((np.abs(right[mask] - a) ** p).tolist())
 
 
 def _excess_curve_values(left, right, hurst, levels):

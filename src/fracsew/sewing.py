@@ -237,7 +237,7 @@ def riemann_sum(germ: Germ, path: FbmPath, partition: Partition) -> float:
     the result does not depend on evaluation batching.
     """
     i, j = _interval_indices(path, partition)
-    return float(math.fsum(germ.evaluate_batch(path, i, j)))
+    return math.fsum(germ.evaluate_batch(path, i, j).tolist())
 
 
 def delta_germ(germ: Germ, path: FbmPath, s: float, u: float, t: float) -> float:

@@ -62,10 +62,10 @@ def polyline_svg(series: list[Series], *, title: str = "",
     inner_w = _WIDTH - _ML - _MR
     inner_h = _HEIGHT - _MT - _MB
 
-    def sx(x: float) -> float:
+    def sx(x):
         return _ML + (x - x0) / (x1 - x0) * inner_w
 
-    def sy(y: float) -> float:
+    def sy(y):
         return _HEIGHT - _MB - (y - y0) / (y1 - y0) * inner_h
 
     out = [
@@ -107,8 +107,10 @@ def polyline_svg(series: list[Series], *, title: str = "",
 
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{sx(float(xv)):.2f},{sy(float(yv)):.2f}"
-                       for xv, yv in zip(s.x, s.y))
+        # sx/sy map whole arrays with the same IEEE operations, in the same
+        # order, as they map one Python float, so the pixels are bit-equal
+        pts = " ".join("%.2f,%.2f" % pt
+                       for pt in zip(sx(s.x).tolist(), sy(s.y).tolist()))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.2"/>')
         if s.label:

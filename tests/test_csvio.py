@@ -36,6 +36,10 @@ def test_format_value_types():
     assert format_value(np.int64(7)) == "7"
     assert format_value(0.1) == "0.10000000000000001"
     assert format_value("circulant") == "circulant"
+    assert format_value(np.bool_(True)) == "true"
+    assert format_value(np.bool_(False)) == "false"
+    assert format_value(np.float32(0.5)) == "0.5"
+    assert format_value(-0.0) == "-0"
 
 
 def test_parse_scalar_types():
@@ -160,3 +164,87 @@ def test_probe_csv(tmp_path):
     assert table.rows.shape == (rep.pair_table.shape[0], 6)
     assert table.meta["coefficient"] == "constant"
     assert table.meta["threshold_young"] == pytest.approx(1.0 / 3.0)
+
+
+def test_numpy_bool_round_trips(tmp_path):
+    f = str(tmp_path / "flag.csv")
+    write_table(f, ["x"], [(0.5,)], {"flag": np.bool_(True)})
+    assert read_table(f).meta["flag"] is True
+    write_table(f, ["x", "ok"], [(0.5, np.bool_(False))])
+    assert open(f).read() == "x,ok\n0.5,false\n"
+
+
+def _per_cell(v) -> str:
+    """The cell rule as a chain of isinstance tests on each cell."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), ".17g")
+    return str(v)
+
+
+def _reference_lines(columns, rows) -> str:
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_per_cell(cell) for cell in row))
+    return "\n".join(lines) + "\n"
+
+
+def _data_lines(file_path: str) -> str:
+    """A written table without its leading ``# key=value`` lines."""
+    text = open(file_path, newline="").read()
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("# "))
+
+
+def test_write_table_matches_per_cell_reference(tmp_path):
+    f = str(tmp_path / "mixed.csv")
+    rows = [
+        (0.1, np.float64(1.0 / 3.0), np.int64(-7), True, "tag"),
+        [-0.0, np.float64(-0.0), np.nan, np.inf, -np.inf],
+        (5e-324, 1e-17, np.float32(0.1), False, np.int32(3)),
+        np.array([2.0 ** 60, -1.2345678901234567e-5, 1e300, 0.0, 7.0]),
+        (np.float64(np.nan), 12345678901234567890, 1.0, "x y", 2.5e-310),
+    ]
+    meta = {"a": 0.1, "b": np.float64(5e-324), "c": np.int64(3),
+            "d": False, "e": "text", "f": -0.0}
+    write_table(f, ["c0", "c1", "c2", "c3", "c4"], rows, meta)
+    expected = "".join(f"# {k}={_per_cell(v)}\n" for k, v in meta.items())
+    expected += _reference_lines(["c0", "c1", "c2", "c3", "c4"], rows)
+    assert open(f, "rb").read() == expected.encode()
+
+
+def test_typed_writers_match_per_cell_reference(tmp_path):
+    p = sample_fbm(FbmConfig(hurst=0.3, grid_n=256, seed=4))
+    f = str(tmp_path / "path.csv")
+    write_path_csv(f, p)
+    assert _data_lines(f) == _reference_lines(["t", "value"],
+                                              zip(p.times, p.values))
+
+    p2 = sample_fbm(FbmConfig(hurst=0.6, grid_n=64, seed=5, dim=2))
+    write_path_csv(f, p2)
+    assert _data_lines(f) == _reference_lines(
+        ["t", "value0", "value1"],
+        ((t, *vals) for t, vals in zip(p2.times, p2.values)))
+
+    curve = local_time_curve(p, dyadic_partition(1.0, 8), "excess",
+                             default_level_grid(p, 31))
+    write_curve_csv(f, curve)
+    assert _data_lines(f) == _reference_lines(
+        ["level", "value"], zip(curve.levels, curve.values))
+
+    cum = cumulative_local_time(p, dyadic_partition(1.0, 8), 0.0)
+    write_cumulative_csv(f, cum)
+    assert _data_lines(f) == _reference_lines(
+        ["t", "value"], zip(cum.times, cum.values))
+
+    rep = uniqueness_probe(0.75, 0.3, mesh_levels=(5, 6),
+                           scales=(0.25, 0.125), replicas=3, seed=3)
+    write_probe_csv(f, rep)
+    assert _data_lines(f) == _reference_lines(
+        ["replica", "level_a", "scale_a", "level_b", "scale_b",
+         "sup_distance"],
+        ((int(r[0]), int(r[1]), r[2], int(r[3]), r[4], r[5])
+         for r in rep.pair_table))
