@@ -374,6 +374,23 @@ def cmd_sde(cfg: dict, out_dir: str) -> int:
     return 0
 
 
+def _number(value, what: str) -> float:
+    """A number read back from a result file; anything else makes the file
+    malformed."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{what} is not a number: {value!r}") from None
+
+
+def _read_series(full: str, rel: str):
+    """A curve or cumulative table: its checks read the second column."""
+    table = read_table(full)
+    if table.rows.shape[1] < 2:
+        raise ConfigurationError(f"{rel} has fewer than two columns")
+    return table
+
+
 def _report_rows(out_dir: str) -> list[tuple]:
     rows: list[tuple] = []
     for root, dirs, files in os.walk(out_dir):
@@ -389,13 +406,15 @@ def _report_rows(out_dir: str) -> list[tuple]:
                 rows.append((rel, "path_finite", float(table.rows.shape[0]),
                              "finite rows", "PASS" if ok else "FAIL"))
             elif fname.startswith("curve_") and fname.endswith(".csv"):
-                table = read_table(full)
+                table = _read_series(full, rel)
                 ok = bool(np.all(np.isfinite(table.rows))
                           and np.all(table.rows[:, 1] >= 0.0))
                 rows.append((rel, "curve_nonnegative", float(table.rows.shape[0]),
                              "finite, >= 0", "PASS" if ok else "FAIL"))
             elif fname == "cumulative.csv":
-                table = read_table(full)
+                table = _read_series(full, rel)
+                if table.rows.shape[0] == 0:
+                    raise ConfigurationError(f"{rel} has no data rows")
                 ok = bool(np.all(np.diff(table.rows[:, 1]) >= 0.0))
                 rows.append((rel, "cumulative_nondecreasing",
                              float(table.rows[-1, 1]), "monotone",
@@ -403,20 +422,23 @@ def _report_rows(out_dir: str) -> list[tuple]:
             elif fname == "summary.txt":
                 summary = read_summary(full)
                 if "occupation_rel_error" in summary:
-                    err = float(summary["occupation_rel_error"])
+                    err = _number(summary["occupation_rel_error"],
+                                  f"{rel} occupation_rel_error")
                     rows.append((rel, "occupation_identity", err, "<= 0.03",
                                  "PASS" if err <= 0.03 else "FAIL"))
             elif fname == "rate.csv":
                 table = read_table(full)
                 exact = table.meta.get("exact") is True
-                eps = float(table.meta.get("epsilon_hat", float("nan")))
+                eps = _number(table.meta.get("epsilon_hat", float("nan")),
+                              f"{rel} epsilon_hat")
                 ok = exact or (np.isfinite(eps) and eps > 0.0)
                 rows.append((rel, "rate_positive", eps, "> 0 or exact",
                              "PASS" if ok else "FAIL"))
             elif fname == "probe.csv":
                 table = read_table(full)
                 plateau = table.meta.get("plateau_free")
-                final = float(table.meta.get("max_final_distance", float("nan")))
+                final = _number(table.meta.get("max_final_distance", float("nan")),
+                                f"{rel} max_final_distance")
                 ok = plateau is not False and np.isfinite(final)
                 rows.append((rel, "probe_no_plateau", final,
                              "decaying distances", "PASS" if ok else "FAIL"))

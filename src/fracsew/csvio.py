@@ -113,7 +113,17 @@ def read_table(file_path: str) -> TableData:
             if columns is None:
                 columns = tuple(part.strip() for part in line.split(","))
                 continue
-            data.append([float(cell) for cell in line.split(",")])
+            try:
+                row = [float(cell) for cell in line.split(",")]
+            except ValueError:
+                raise ConfigurationError(
+                    f"{os.path.basename(file_path)}: non-numeric cell in row "
+                    f"{line!r}") from None
+            if len(row) != len(columns):
+                raise ConfigurationError(
+                    f"{os.path.basename(file_path)}: row {line!r} has "
+                    f"{len(row)} cells, the header {len(columns)}")
+            data.append(row)
     if columns is None:
         raise ConfigurationError(f"{os.path.basename(file_path)} has no header row")
     rows = np.array(data, dtype=float) if data else np.empty((0, len(columns)))

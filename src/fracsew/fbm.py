@@ -10,8 +10,10 @@ attach to the path:
 ``cholesky``
     exact covariance via a dense Cholesky factor, O(n^2) memory;
 ``circulant``
-    exact covariance via the minimal mirrored circulant embedding of size
-    2(n-1), O(n log n);
+    exact covariance via the Davies-Harte circulant embedding of size 2n,
+    drawn from 2n real normals per component in Hermitian layout (Wood &
+    Chan 1994; Dietrich & Newsam 1997) and one inverse real FFT for all
+    components, O(n log n);
 ``kernel``
     truncated moving-average discretization driven by explicit white-noise
     cells on [-A, T].  Slightly approximate in law (documented O(A^(2H-2))
@@ -270,20 +272,39 @@ def _embedding_eigs(row: np.ndarray, context: str = "") -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _circulant_sqrt_eigs(hurst: float, grid_n: int, step: float) -> np.ndarray:
-    # Minimal mirrored embedding: first row [g0 .. g_{n-1} g_{n-2} .. g1]
-    # of size 2(n-1).  Requires grid_n >= 2.
-    g = fgn_cov(np.arange(grid_n), hurst, step)
+def _circulant_weights(hurst: float, grid_n: int, step: float) -> np.ndarray:
+    """Half-spectrum weights w_0 .. w_n of the size-2n embedding.
+
+    The circulant's first row is [g_0 .. g_n, g_{n-1} .. g_1] with g the fGn
+    autocovariance; with its eigenvalues lam, w_k = sqrt(lam_k * n) for
+    0 < k < n and sqrt(lam_k * 2n) at k = 0 and k = n, the two real modes.
+    """
+    g = fgn_cov(np.arange(grid_n + 1), hurst, step)
     row = np.concatenate([g, g[-2:0:-1]])
-    return np.sqrt(_embedding_eigs(row, f" (H={hurst}, n={grid_n})"))
+    eigs = _embedding_eigs(row, f" (H={hurst}, n={grid_n})")[:grid_n + 1]
+    scale = np.full(grid_n + 1, float(grid_n))
+    scale[[0, -1]] = 2.0 * grid_n
+    weights = np.sqrt(eigs * scale)
+    weights.setflags(write=False)
+    return weights
 
 
-def _sample_fgn_circulant(rng: np.random.Generator, sqrt_eigs: np.ndarray,
-                          grid_n: int) -> np.ndarray:
-    m = sqrt_eigs.size
-    z = rng.standard_normal((2, m))
-    spectral = sqrt_eigs * (z[0] + 1j * z[1])
-    return (math.sqrt(m) * np.fft.ifft(spectral)).real[:grid_n]
+def _sample_fgn_circulant(rng: np.random.Generator, weights: np.ndarray,
+                          dim: int) -> np.ndarray:
+    """(dim, n) fGn rows from one (dim, 2n) block of standard normals.
+
+    Row c of the block fills the Hermitian half-spectrum h_0 .. h_n of
+    component c: Re h_k = z_k for k = 0 .. n and Im h_k = z_{n+k} for
+    0 < k < n (h_0 and h_n are real).  The inverse real FFT of h * w has
+    the circulant's covariance; its first n entries are the fGn.
+    """
+    n = weights.size - 1
+    z = rng.standard_normal((dim, 2 * n))
+    h = np.zeros((dim, n + 1), dtype=complex)
+    h.real = z[:, :n + 1]
+    h.imag[:, 1:n] = z[:, n + 1:]
+    h *= weights
+    return np.fft.irfft(h, 2 * n, axis=-1)[:, :n]
 
 
 def _left_tail_boundaries(step: float, truncation: float) -> np.ndarray:
@@ -335,8 +356,9 @@ def sample_fbm(config: FbmConfig, method: str = "circulant",
     of the driving-noise window [-A, horizon]; defaults to 50 * horizon.
 
     Draw order, fixed for reproducibility: the value-at-0 normals first, then
-    per component either the (2, m) circulant block, or the n fGn normals
-    (cholesky), or the m cell normals (kernel).
+    either one (dim, 2n) block of circulant normals (row c drives component
+    c), or per component the n fGn normals (cholesky), or one (dim, m) block
+    of cell normals (kernel).
     """
     if method not in ("cholesky", "circulant", "kernel"):
         raise ConfigurationError(f"unknown sampling method {method!r}")
@@ -361,19 +383,14 @@ def sample_fbm(config: FbmConfig, method: str = "circulant",
                              normals=xi[0] if d == 1 else xi,
                              truncation=trunc)
     else:
-        cols = []
-        for c in range(d):
-            if method == "cholesky":
-                z = rng.standard_normal(n)
-                fgn = _cholesky_factor(config.hurst, n, config.step) @ z
-            elif n == 1:
-                z = rng.standard_normal()
-                fgn = np.array([math.sqrt(fgn_cov(0, config.hurst, config.step)) * z])
-            else:
-                sq = _circulant_sqrt_eigs(config.hurst, n, config.step)
-                fgn = _sample_fgn_circulant(rng, sq, n)
-            cols.append(b0[c] + np.concatenate([[0.0], np.cumsum(fgn)]))
-        values = np.stack(cols, axis=1)
+        if method == "cholesky":
+            factor = _cholesky_factor(config.hurst, n, config.step)
+            fgn = np.stack([factor @ rng.standard_normal(n) for _ in range(d)])
+        else:
+            weights = _circulant_weights(config.hurst, n, config.step)
+            fgn = _sample_fgn_circulant(rng, weights, d)
+        values = b0[None, :] + np.concatenate(
+            [np.zeros((1, d)), np.cumsum(fgn, axis=1).T])
 
     if not np.all(np.isfinite(values)):
         raise NumericalError("sampler produced non-finite values")

@@ -271,10 +271,10 @@ class RateFitResult:
 def _fit_rate(meshes: np.ndarray, distances: np.ndarray) -> tuple[float, float]:
     """Slope and R^2 of the plain log-log OLS of distance against mesh.
 
-    Distances are measured against the finest-level sum rather than the
-    unobservable limit, so the points nearest the proxy are deflated; the
-    caller drops the two finest levels to keep that contamination mild.
-    Generous level ranges tighten the estimate further.
+    The distances are those between consecutive levels, ||S_l - S_{l+1}||,
+    each set at the coarser level's mesh.  If ||S_l - S|| ~ C mesh_l^eps,
+    these decay at the same rate eps, and no point is measured against a
+    sum that shares its own discretization error.
     """
     log_x, log_y = np.log(meshes), np.log(distances)
     slope, intercept = np.polyfit(log_x, log_y, 1)
@@ -293,10 +293,12 @@ def estimate_convergence_rate(germ: Germ,
     """Empirical L_m convergence rate of the germ's Riemann sums.
 
     For each replica path the sum is computed on every dyadic level; the
-    finest level serves as the proxy limit and ``lm_distances[i]`` is the
-    L_m norm of (sum at level i) - (sum at finest).  ``epsilon_hat`` is the
-    log-log least-squares slope over all levels except the finest two (those
-    sit too close to the proxy).  Germs that are exactly additive report
+    finest level serves as the limit estimate and ``lm_distances[i]`` is the
+    L_m norm of (sum at level i) - (sum at finest).  ``epsilon_hat`` and
+    ``r_squared`` come from the log-log least-squares fit of the L_m norms
+    of consecutive differences (sum at level i) - (sum at level i+1) against
+    the mesh of level i, over every pair of consecutive levels (see
+    :func:`_fit_rate`).  Germs that are exactly additive report
     ``exact=True`` with an infinite rate.  A germ whose declared exponents
     fail :meth:`SewingExponents.validate` is still measured, with a
     :class:`RegimeWarning`.
@@ -337,10 +339,12 @@ def estimate_convergence_rate(germ: Germ,
         return RateFitResult(germ.name, float(m), replicas, tuple(levels), meshes,
                              lm, limit_estimate, math.inf, 1.0, True)
 
-    keep = values[:-2] > 0.0
+    steps = np.array([mc_lm_norm(sums[:, i] - sums[:, i + 1], m).value
+                      for i in range(len(levels) - 1)])
+    keep = steps > 0.0
     if keep.sum() < 2:
         raise ConfigurationError(
             "not enough levels with nonzero distance to fit a rate")
-    eps, r2 = _fit_rate(meshes[:-2][keep], values[:-2][keep])
+    eps, r2 = _fit_rate(meshes[:-1][keep], steps[keep])
     return RateFitResult(germ.name, float(m), replicas, tuple(levels), meshes,
                          lm, limit_estimate, eps, r2, False)

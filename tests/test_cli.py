@@ -304,6 +304,35 @@ def test_report_flow(tmp_path):
     assert main(["report", "--out", str(out)]) == 1
 
 
+def test_report_non_numeric_cell_exits_two(tmp_path):
+    out = tmp_path / "runs"
+    os.makedirs(out)
+    (out / "curve_x.csv").write_text("x,value\n0.0,1.0\n0.5,abc\n")
+    assert main(["report", "--out", str(out)]) == 2
+
+
+def test_report_header_only_cumulative_exits_two(tmp_path):
+    out = tmp_path / "runs"
+    os.makedirs(out)
+    (out / "cumulative.csv").write_text("# hurst=0.3\nt,local_time\n")
+    assert main(["report", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("fname,text", [
+    ("curve_x.csv", "x\n0.5\n"),
+    ("cumulative.csv", "t\n0.5\n"),
+    ("summary.txt", "occupation_rel_error=abc\n"),
+    ("rate.csv", "# epsilon_hat=abc\nlevel,mesh\n4,0.0625\n"),
+    ("probe.csv", "# max_final_distance=abc\nlevel,distance\n4,0.1\n"),
+], ids=["one_column_curve", "one_column_cumulative", "text_occupation_error",
+        "text_epsilon_hat", "text_final_distance"])
+def test_report_malformed_field_exits_two(tmp_path, fname, text):
+    out = tmp_path / "runs"
+    os.makedirs(out)
+    (out / fname).write_text(text)
+    assert main(["report", "--out", str(out)]) == 2
+
+
 def test_numerical_failures_exit_three(tmp_path, monkeypatch):
     import fracsew.cli as cli_mod
 

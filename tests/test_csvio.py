@@ -79,6 +79,14 @@ def test_table_without_header_rejected(tmp_path):
         read_table(str(f))
 
 
+@pytest.mark.parametrize("row", ["0.5,abc", "0.5", "0.5,1.0,2.0"])
+def test_malformed_row_rejected(tmp_path, row):
+    f = tmp_path / "broken.csv"
+    f.write_text(f"x,y\n0.0,1.0\n{row}\n")
+    with pytest.raises(ConfigurationError, match="broken.csv"):
+        read_table(str(f))
+
+
 def test_empty_table_shape(tmp_path):
     f = tmp_path / "empty.csv"
     f.write_text("# n=0\nx,y\n")

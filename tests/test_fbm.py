@@ -26,7 +26,8 @@ from fracsew import (
     sample_fbm,
 )
 import fracsew.fbm
-from fracsew.fbm import _circulant_sqrt_eigs
+from fracsew.fbm import (_cholesky_factor, _circulant_weights,
+                         _sample_fgn_circulant)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +164,6 @@ def test_sampler_var0_randomizes_start():
 
 
 def test_cholesky_factor_reproduces_fgn_covariance():
-    from fracsew.fbm import _cholesky_factor
     H, n, step = 0.3, 16, 1.0 / 16
     L = _cholesky_factor(H, n, step)
     want = fgn_cov(np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]), H, step)
@@ -172,8 +172,65 @@ def test_cholesky_factor_reproduces_fgn_covariance():
 
 def test_circulant_eigs_nonnegative_across_hurst():
     for H in (0.05, 0.3, 0.5, 0.7, 0.95):
-        sq = _circulant_sqrt_eigs(H, 256, 1.0 / 256)
-        assert np.all(np.isfinite(sq))
+        w = _circulant_weights(H, 256, 1.0 / 256)
+        assert w.shape == (257,) and np.all(np.isfinite(w))
+
+
+class _IdentityNormals:
+    """Stands in for a generator: a (k, k) draw is the identity basis."""
+
+    def standard_normal(self, shape):
+        assert shape[0] == shape[1]
+        return np.eye(shape[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 256])
+@pytest.mark.parametrize("H", [0.05, 0.3, 0.5, 0.7, 0.95])
+def test_circulant_map_has_exact_fgn_covariance(n, H):
+    """The sampler is a linear map L of its 2n normals; applied to the
+    identity basis it yields L^T row by row, and L L^T is the fGn Toeplitz
+    covariance to rounding."""
+    Lt = _sample_fgn_circulant(_IdentityNormals(), _circulant_weights(H, n, 1.0 / n), 2 * n)
+    assert Lt.shape == (2 * n, n)
+    want = fgn_cov(np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]), H, 1.0 / n)
+    np.testing.assert_allclose(Lt.T @ Lt, want, rtol=0.0,
+                               atol=1e-12 * float(np.abs(want).max()))
+
+
+def test_circulant_components_use_consecutive_blocks():
+    """A dim-3 draw: after the three value-at-0 normals, component c is the
+    sampler's map of normals [2nc, 2n(c+1)) of the same stream."""
+    H, n, d = 0.3, 16, 3
+    cfg = FbmConfig(hurst=H, grid_n=n, seed=29, dim=d)
+    p = sample_fbm(cfg)
+    Lt = _sample_fgn_circulant(_IdentityNormals(), _circulant_weights(H, n, cfg.step), 2 * n)
+    rng = SeedSpec(29).generator()
+    rng.standard_normal(d)
+    z = rng.standard_normal(2 * n * d).reshape(d, 2 * n)
+    np.testing.assert_allclose(np.diff(p.values, axis=0), (z @ Lt).T, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("var0", [0.0, 0.5])
+def test_cholesky_matches_per_column_reference_bit_for_bit(dim, var0):
+    """The Cholesky branch draws n normals per component, one component
+    after another; t = 0 stays +0.0 when var0 = 0 (b0 is then -0.0 for a
+    negative normal, and -0.0 + 0.0 is +0.0)."""
+    H, n, seed = 0.3, 32, 8
+    p = sample_fbm(FbmConfig(hurst=H, grid_n=n, seed=seed, var0=var0, dim=dim),
+                   method="cholesky")
+    rng = SeedSpec(seed).generator()
+    b0 = math.sqrt(var0) * rng.standard_normal(dim)
+    L = _cholesky_factor(H, n, 1.0 / n)
+    cols = [b0[c] + np.concatenate([[0.0], np.cumsum(L @ rng.standard_normal(n))])
+            for c in range(dim)]
+    want = np.stack(cols, axis=1)
+    if dim == 1:
+        want = want[:, 0]
+    assert p.values.shape == want.shape
+    assert p.values.tobytes() == want.tobytes()
+    if var0 == 0.0:
+        assert not np.any(np.signbit(p.values[0]))
 
 
 def test_circulant_rejects_indefinite_embedding():

@@ -312,17 +312,17 @@ def test_exponents_collect_each_violation():
 
 
 def test_rate_deterministic_power_germ():
-    """Riemann sums of (t-s)^1.3 decay like mesh^0.3; the proxy fit sees the
-    power plus a documented distance-to-proxy steepening, so the assertion
-    window is generous on the high side."""
+    """Riemann sums of (t-s)^1.3 are mesh^0.3 exactly, so consecutive
+    differences are an exact power law and the fit recovers 0.3 to
+    rounding."""
     germ = Germ(name="pow13",
                 batch=lambda p, i, j: (p.times[j] - p.times[i]) ** 1.3)
     res = estimate_convergence_rate(
         germ, FbmConfig(hurst=0.5, grid_n=2 ** 16, seed=3),
         levels=range(2, 17), replicas=2)
     assert not res.exact
-    assert 0.3 <= res.epsilon_hat <= 0.45
-    assert res.r_squared > 0.97
+    assert res.epsilon_hat == pytest.approx(0.3, abs=1e-9)
+    assert res.r_squared == pytest.approx(1.0, abs=1e-9)
     # the sums themselves follow the exact power law, which is the real claim
     sums = np.array([d.value for d in res.lm_distances])
     meshes = res.meshes
