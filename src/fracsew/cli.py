@@ -347,12 +347,10 @@ def cmd_sde(cfg: dict, out_dir: str) -> int:
 
     if mode in ("both", "probe"):
         case = cfg["case"]
-        if case == "a":
-            coeffs = holder_pair(cfg["delta"], kappa=cfg["kappa"])
-        elif case == "b":
-            # same diagonal built-in: with kappa < 1 it is symmetric
-            # positive definite everywhere, which is what this case asserts
-            if not cfg["kappa"] < 1.0:
+        if case in ("a", "b"):
+            # case b is case a's pair, asserted positive: with kappa < 1 it
+            # is symmetric positive definite everywhere
+            if case == "b" and not cfg["kappa"] < 1.0:
                 raise ConfigurationError("case b needs kappa < 1 for positivity")
             coeffs = holder_pair(cfg["delta"], kappa=cfg["kappa"])
         elif case == "c":

@@ -132,6 +132,14 @@ def fgn_cov(lag, hurst: float, step: float):
     return out
 
 
+@lru_cache(maxsize=8)
+def _grid_times(grid_n: int, horizon: float) -> np.ndarray:
+    # (k * horizon) / grid_n keeps dyadic sub-partitions exactly on-grid
+    times = (np.arange(grid_n + 1) * horizon) / grid_n
+    times.setflags(write=False)
+    return times
+
+
 @dataclass(frozen=True)
 class FbmConfig:
     """Parameters of one path draw."""
@@ -174,8 +182,8 @@ class FbmConfig:
         return self.horizon / self.grid_n
 
     def times(self) -> np.ndarray:
-        # (k * horizon) / grid_n keeps dyadic sub-partitions exactly on-grid
-        return (np.arange(self.grid_n + 1) * self.horizon) / self.grid_n
+        """The grid times, one shared read-only array per (grid_n, horizon)."""
+        return _grid_times(self.grid_n, self.horizon)
 
 
 @dataclass(frozen=True)
@@ -192,9 +200,25 @@ class DrivingNoise:
     truncation: float
 
 
+def _read_only(a) -> np.ndarray:
+    """``a`` as a read-only float array; a writable one is copied first."""
+    arr = np.asarray(a, dtype=float)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class FbmPath:
-    """A sampled path on a uniform grid, with provenance."""
+    """A sampled path on a uniform grid, with provenance.
+
+    ``times`` and ``values`` are read-only.  A writable array passed in is
+    copied and the copy frozen; a read-only one is kept as it is.  Every
+    path sampled on one grid shares one ``times`` array,
+    :meth:`FbmConfig.times`, so a partition's grid indices, once computed
+    for that array, serve every such path.
+    """
     hurst: float
     times: np.ndarray
     values: np.ndarray
@@ -202,6 +226,10 @@ class FbmPath:
     method: str
     seed: SeedSpec
     noise: DrivingNoise | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "times", _read_only(self.times))
+        object.__setattr__(self, "values", _read_only(self.values))
 
     @property
     def horizon(self) -> float:
@@ -319,7 +347,7 @@ def _left_tail_boundaries(step: float, truncation: float) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _kernel_weight_matrix(hurst: float, grid_n: int, horizon: float,
                           truncation: float) -> tuple[np.ndarray, np.ndarray]:
-    times = (np.arange(grid_n + 1) * horizon) / grid_n
+    times = _grid_times(grid_n, horizon)
     step = horizon / grid_n
     boundaries = np.concatenate([
         _left_tail_boundaries(step, truncation), [0.0], times[1:]])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +41,10 @@ __all__ = [
 class Partition:
     """Strictly increasing breakpoints from 0 to the horizon."""
     breakpoints: np.ndarray
+    # (times, (i, j)): the interval indices on the last grid the breakpoints
+    # were mapped to, that grid's times array held; see _interval_indices
+    _on_grid: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self) -> None:
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -219,13 +223,23 @@ class Germ:
 def _interval_indices(path: FbmPath, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Grid indices ``(i, j)`` of the left and right ends of each interval.
 
-    The breakpoints are mapped to grid indices once; they must lie on
-    distinct grid points, else :class:`AlignmentError`.
+    The breakpoints must lie on distinct grid points, else
+    :class:`AlignmentError`.  They are mapped once per (grid, partition):
+    the partition keeps the read-only ``(i, j)`` of the last grid it was
+    mapped to, together with that grid's ``times`` array, and a path whose
+    ``times`` is that very array reuses them.  The grid's times and the
+    breakpoints are read-only (see :class:`FbmPath`), so the indices stay
+    valid while the partition lives; a failed mapping is not kept.
     """
+    cached = partition._on_grid
+    if cached is not None and cached[0] is path.times:
+        return cached[1]
     idx = path.indices_of(partition.breakpoints)
+    idx.setflags(write=False)
     i, j = idx[:-1], idx[1:]
     if not (j > i).all():
         raise AlignmentError("two breakpoints map to the same grid point")
+    object.__setattr__(partition, "_on_grid", (path.times, (i, j)))
     return i, j
 
 

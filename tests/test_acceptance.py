@@ -6,6 +6,7 @@ lines for passing tests too).  Statistical checks use fixed seeds and
 tolerances wide enough to be reliable at those seeds; the margins were
 calibrated against the central-limit error of each quantity.
 """
+import functools
 import math
 import os
 
@@ -155,16 +156,35 @@ def test_c04_trapezoid_identity_and_smooth_convergence():
     _report(4, "trapezoid exactness and smooth-integrand rate", ok)
 
 
-def test_c05_discontinuous_integrand_cauchy_rate():
-    """Left-point sums of the sign integrand on a smooth driver form a
-    Cauchy sequence in L2 with a positive fitted rate."""
-    fit = estimate_convergence_rate(
+@functools.cache
+def _c05_fit():
+    """The sign integrand's rate at H = 0.75: grid 2^12, levels 6-12, 500
+    replicas, seed 0."""
+    return estimate_convergence_rate(
         ito_germ(get_integrand("sign"), hurst=0.75),
         FbmConfig(hurst=0.75, grid_n=2 ** 12, seed=0),
         levels=range(6, 13), replicas=500)
+
+
+def test_c05_discontinuous_integrand_cauchy_rate():
+    """Left-point sums of the sign integrand on a smooth driver form a
+    Cauchy sequence in L2 with a positive fitted rate."""
+    fit = _c05_fit()
     values = np.array([e.value for e in fit.lm_distances])
     ok = bool(np.all(np.diff(values[:-1]) < 0.0)) and fit.epsilon_hat > 0.15
     _report(5, "discontinuous integrand converges", ok)
+
+
+def test_c05_sign_integrand_rate_is_two_h_minus_one():
+    """On c05's own configuration and seed 0, the rate fitted on consecutive
+    levels lies within 0.1 of 2H - 1 = 0.5.  On an interval where B crosses
+    0 the left-point term misses |B_t| - |B_s| by -2|B_t|, an error of one
+    sign; about h^(H-1) such intervals of size h^H give an error of order
+    h^(2H-1).  The seed and the tolerance were fixed before the check ran
+    (it fits 0.476)."""
+    eps = _c05_fit().epsilon_hat
+    _report(5, "sign integrand rate near 2H - 1", abs(eps - 0.5) <= 0.1,
+            f"epsilon_hat={eps:.4f}")
 
 
 def test_c06_local_time_estimator_family_agrees():

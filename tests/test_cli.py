@@ -255,6 +255,26 @@ def test_sde_constant_probe_collapses(tmp_path):
     assert np.max(table.rows[:, 5]) <= 1e-12
 
 
+def test_sde_case_b_is_case_a_with_kappa_below_one(tmp_path):
+    """Cases a and b build one pair: their probe.csv bytes agree except for
+    the config_sha256 meta line, which hashes the config and so its case.
+    Case b with kappa = 1 exits 2."""
+    probes = {}
+    for case in ("a", "b"):
+        cfgfile = _write_cfg(tmp_path, f"{case}.cfg", mode="probe", case=case,
+                             levels="5:6", scales="3:4", replicas="2")
+        out = tmp_path / case
+        assert main(["sde", "--config", cfgfile, "--out", str(out)]) == 0
+        lines = (out / "probe.csv").read_bytes().splitlines(keepends=True)
+        probes[case] = [l for l in lines if not l.startswith(b"# config_sha256=")]
+        assert len(lines) == len(probes[case]) + 1
+    assert probes["a"] == probes["b"]
+    kappa_one = _write_cfg(tmp_path, "k1.cfg", mode="probe", case="b", kappa="1.0",
+                           levels="5:6", scales="3:4", replicas="2")
+    assert main(["sde", "--config", kappa_one,
+                 "--out", str(tmp_path / "k1")]) == 2
+
+
 def test_sde_bad_mode_and_case(tmp_path):
     bad_mode = _write_cfg(tmp_path, "m.cfg", mode="quantum")
     assert main(["sde", "--config", bad_mode,

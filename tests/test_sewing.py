@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from fracsew import (
     ConfigurationError,
     DomainError,
     FbmConfig,
+    FbmPath,
     Partition,
     RegimeWarning,
+    SeedSpec,
     SewingExponents,
     coarsen,
     constant_pair,
@@ -203,7 +206,7 @@ def test_delta_germ_zero_for_additive():
 
 def test_riemann_sum_passes_grid_indices():
     """Germs receive the breakpoints' grid indices, looked up once:
-    exactly idx[:-1] and idx[1:], as integer arrays."""
+    exactly idx[:-1] and idx[1:], as read-only integer arrays."""
     path = _bm_path(seed=4)
     seen = []
 
@@ -215,6 +218,7 @@ def test_riemann_sum_passes_grid_indices():
     total = riemann_sum(Germ(name="rec", batch=batch), path, part)
     (i, j), = seen
     assert i.dtype.kind == "i" and j.dtype.kind == "i"
+    assert not i.flags.writeable and not j.flags.writeable
     np.testing.assert_array_equal(i, [0, 3, 17, 100, 101])
     np.testing.assert_array_equal(j, [3, 17, 100, 101, 256])
     assert total == pytest.approx(path.values[-1] - path.values[0], rel=1e-12)
@@ -255,6 +259,107 @@ def test_breakpoints_on_one_grid_point_are_rejected(consumer):
     path = sample_fbm(FbmConfig(hurst=0.75, grid_n=8, seed=0))
     with pytest.raises(AlignmentError, match="same grid point"):
         consumer(path, Partition([0.0, 0.25, 0.25 + 1e-12, 0.5, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# one index lookup per (grid, partition)
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """Counts the calls of FbmPath.indices_of."""
+    calls = []
+    original = FbmPath.indices_of
+
+    def counted(self, t):
+        calls.append(self)
+        return original(self, t)
+
+    monkeypatch.setattr(FbmPath, "indices_of", counted)
+    return calls
+
+
+def _uncached_sum(germ, path, partition):
+    idx = path.indices_of(partition.breakpoints)
+    return math.fsum(germ.evaluate_batch(path, idx[:-1], idx[1:]).tolist())
+
+
+def test_riemann_sum_on_shared_grid_matches_uncached_reference(lookups):
+    """Two paths of one configuration share their grid: every partition is
+    looked up once, and the sums equal the uncached reference bit for bit,
+    whether the partition is new (cold) or already mapped (warm)."""
+    config = FbmConfig(hurst=0.75, grid_n=2 ** 8)
+    paths = [sample_fbm(replace(config, seed=s)) for s in (3, 4)]
+    germ = ito_germ(get_integrand("sign"), 0.75)
+    levels = (2, 5, 8)
+    want = [[_uncached_sum(germ, p, dyadic_partition(1.0, l)) for l in levels]
+            for p in paths]
+    del lookups[:]
+    for first in (0, 1):
+        parts = [dyadic_partition(1.0, l) for l in levels]
+        order = (first, 1 - first)
+        for rep in range(2):
+            for k in order:
+                got = [riemann_sum(germ, paths[k], part) for part in parts]
+                assert got == want[k]
+    assert len(lookups) == 2 * len(levels)
+
+
+def test_equal_partitions_give_equal_sums(lookups):
+    path = _bm_path(seed=5)
+    germ = ito_germ(get_integrand("sign"), 0.5)
+    a = dyadic_partition(1.0, 6)
+    b = Partition(a.breakpoints.copy())
+    assert a == b and a is not b
+    sums = [riemann_sum(germ, path, part) for part in (a, b, a, b)]
+    assert sums == [sums[0]] * 4
+    assert len(lookups) == 2
+
+
+def test_alignment_error_is_raised_on_every_call(lookups):
+    path = _bm_path(n=8)
+    part = Partition([0.0, 0.25, 0.25 + 1e-12, 0.5, 1.0])
+    for _ in range(2):
+        with pytest.raises(AlignmentError, match="same grid point"):
+            riemann_sum(_increment_germ(), path, part)
+    assert len(lookups) == 2
+
+
+def test_rate_harness_looks_each_level_up_once(lookups):
+    levels = range(2, 7)
+    estimate_convergence_rate(ito_germ(get_integrand("sign"), 0.75),
+                              FbmConfig(hurst=0.75, grid_n=2 ** 6, seed=1),
+                              levels, replicas=20)
+    assert len(lookups) == len(levels)
+
+
+def test_sampled_times_are_one_read_only_grid():
+    config = FbmConfig(hurst=0.3, grid_n=64)
+    a, b = (sample_fbm(replace(config, seed=s)) for s in (0, 1))
+    assert a.times is b.times is config.times()
+    for arr in (a.times, a.values):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[1] = 0.5
+
+
+def test_hand_built_path_holds_read_only_copies(lookups):
+    """A path built from writable arrays holds frozen copies, so changing
+    the arrays it was built from changes neither the path nor its sums."""
+    times = np.linspace(0.0, 1.0, 9)
+    values = np.sin(3.0 * times)
+    path = FbmPath(hurst=0.5, times=times, values=values, var0=0.0,
+                   method="synthetic", seed=SeedSpec(0))
+    assert path.times is not times and path.values is not values
+    assert not path.times.flags.writeable and not path.values.flags.writeable
+    part = uniform_partition(1.0, 4)
+    germ = _increment_germ()
+    before = riemann_sum(germ, path, part)
+    times *= 2.0
+    values[:] = 0.0
+    assert riemann_sum(germ, path, part) == before == _uncached_sum(germ, path, part)
+    np.testing.assert_array_equal(path.times, np.linspace(0.0, 1.0, 9))
+    assert len(lookups) == 2
 
 
 def test_delta_germ_square_increment():
