@@ -36,7 +36,6 @@ from .numerics import SeedSpec, _as_count, adaptive_quad, as_seed_spec, beta
 
 __all__ = [
     "c_h",
-    "mvn_kernel",
     "fbm_cov",
     "fgn_cov",
     "FbmConfig",
@@ -79,21 +78,6 @@ def _pow_plus(x: np.ndarray, expo: float) -> np.ndarray:
         out[pos] = 1.0
     else:
         out[pos] = x[pos] ** expo
-    return out
-
-
-def mvn_kernel(t, s, hurst: float):
-    """Moving-average kernel K(t, s) = (t-s)_+^(H-1/2) - (-s)_+^(H-1/2).
-
-    At H = 1/2 this reduces to the indicator of 0 <= s < t.  Vectorized in
-    both arguments.
-    """
-    H = _check_hurst(hurst)
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    out = _pow_plus(t - s, H - 0.5) - _pow_plus(-s, H - 0.5)
-    if out.ndim == 0:
-        return float(out)
     return out
 
 

@@ -1,11 +1,11 @@
 """Young differential equations driven by rough Gaussian paths.
 
 Explicit left-point Euler stepping for dX = b(X)dt + sigma(X)dB with an fBM
-driver (guaranteed regime: hurst > 1/2), Holder-seminorm diagnostics,
-Gaussian mollification of coefficients, a built-in diffusion whose gradient
-is exactly delta-Holder at the origin, the three delta-thresholds governing
-uniqueness, and a joint refinement/mollification probe that looks for the
-branching a non-unique equation would produce.
+driver (guaranteed regime: hurst > 1/2), Gaussian mollification of
+coefficients, a built-in diffusion whose gradient is exactly delta-Holder at
+the origin, the three delta-thresholds governing uniqueness, and a joint
+refinement/mollification probe that looks for the branching a non-unique
+equation would produce.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (CapabilityError, ConfigurationError, DomainError,
                      NumericalError, RegimeWarning)
-from .fbm import FbmConfig, FbmPath, sample_fbm
+from .fbm import FbmConfig, FbmPath, _read_only, sample_fbm
 from .numerics import _as_count, _hermite_rule, split_seed
 from .sewing import Partition, _interval_indices
 
@@ -26,7 +26,6 @@ __all__ = [
     "CoefficientPair",
     "SolutionPath",
     "young_euler_solve",
-    "holder_seminorm",
     "mollify_coefficient",
     "builtin_holder_sigma",
     "constant_pair",
@@ -107,12 +106,8 @@ class SolutionPath:
     driver: FbmPath
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        times.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "times", _read_only(self.times))
+        object.__setattr__(self, "values", _read_only(self.values))
 
     @property
     def horizon(self) -> float:
@@ -156,7 +151,7 @@ def young_euler_solve(coeffs: CoefficientPair, x0, driver: FbmPath,
     out = _batched_euler(coeffs, _as_state(x0, coeffs.dim), np.diff(partition.breakpoints),
                          db, jacobian)
     values = out[:, 0] if coeffs.dim == 1 else out
-    return SolutionPath(times=partition.breakpoints.copy(), values=values,
+    return SolutionPath(times=partition.breakpoints, values=values,
                         dim=coeffs.dim, solver=method,
                         step_count=partition.n_intervals, driver=driver)
 
@@ -198,56 +193,6 @@ def _batched_euler(coeffs: CoefficientPair, x0: np.ndarray, dt: np.ndarray, db: 
             raise NumericalError(f"non-finite state at step {k}", step=k)
         traj[k + 1] = x
     return traj
-
-
-def holder_seminorm(path, alpha: float, method: str = "auto") -> float:
-    """Discrete alpha-Holder seminorm max |X_t - X_s| / (t-s)^alpha.
-
-    ``method='exact'`` scans all grid pairs (blocked O(n^2)); ``'dyadic'``
-    restricts to power-of-two index strides, an O(n log n) lower bound that
-    is within a constant factor of the exact value; ``'auto'`` uses the
-    exact scan up to 4096 intervals and the dyadic restriction beyond.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    times = np.asarray(path.times, dtype=float)
-    values = np.asarray(path.values, dtype=float)
-    n = times.size - 1
-    if n < 1:
-        raise DomainError("path must hold at least two points")
-    if values.ndim == 1:
-        values = values[:, None]
-    if method == "auto":
-        method = "exact" if n <= 4096 else "dyadic"
-    best = 0.0
-    if method == "exact":
-        block = 256
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            dv = values[None, stop:, :] - values[start:stop, None, :]
-            dist = np.sqrt(np.sum(dv * dv, axis=-1))
-            gap = times[None, stop:] - times[start:stop, None]
-            # pairs (i, j) with start <= i < stop <= j are covered by the
-            # rectangle; within-block pairs (i < j < stop) need the triangle
-            ratio = dist / gap ** alpha
-            best = max(best, float(np.max(ratio)) if ratio.size else 0.0)
-            dvb = values[None, start + 1:stop, :] - values[start:stop - 1, None, :]
-            gapb = times[None, start + 1:stop] - times[start:stop - 1, None]
-            mask = gapb > 0.0
-            if np.any(mask):
-                distb = np.sqrt(np.sum(dvb * dvb, axis=-1))
-                best = max(best, float(np.max(distb[mask] / gapb[mask] ** alpha)))
-    elif method == "dyadic":
-        stride = 1
-        while stride <= n:
-            dv = values[stride:] - values[:-stride]
-            dist = np.sqrt(np.sum(dv * dv, axis=-1))
-            gap = times[stride:] - times[:-stride]
-            best = max(best, float(np.max(dist / gap ** alpha)))
-            stride *= 2
-    else:
-        raise ConfigurationError(f"unknown seminorm method {method!r}")
-    return best
 
 
 def mollify_coefficient(fn: Callable[[np.ndarray], np.ndarray], scale: float,

@@ -10,29 +10,24 @@ level a), all reduced to a common scale:
 
 The limiting constant of the weighted up-crossing family is the positive-
 part moment E[(W)_+^{1+gamma}] of a centered Gaussian W with the increment
-variance at unit lag; it is exposed in closed form and via quadrature so the
-two routes can be cross-checked.
+variance at unit lag, half a Gaussian absolute moment.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigurationError, DomainError, RegimeWarning
-from .fbm import FbmPath, c_h
-from .numerics import _as_count, adaptive_quad, normal_abs_moment
+from .errors import AlignmentError, ConfigurationError, DomainError
+from .fbm import FbmPath, _read_only, c_h
+from .numerics import _as_count, normal_abs_moment
 from .sewing import Germ, Partition, _interval_indices, riemann_sum
 
 __all__ = [
     "frak_c",
-    "frak_c_quadrature",
     "validate_m_condition",
     "upcrossing_sum",
-    "downcrossing_sum",
-    "bidirectional_sum",
     "crossing_count_estimator",
     "upcrossing_excess_sum",
     "occupation_density_estimator",
@@ -42,7 +37,6 @@ __all__ = [
     "local_time_curve",
     "CumulativeCurve",
     "cumulative_local_time",
-    "lm_distance_over_levels",
     "upcross_germ",
 ]
 
@@ -57,21 +51,6 @@ def frak_c(hurst: float, gamma: float) -> float:
     if not 0.0 <= gamma:
         raise DomainError(f"gamma must be nonnegative, got {gamma!r}")
     return 0.5 * c_h(hurst) ** (0.5 * (1.0 + gamma)) * normal_abs_moment(1.0 + gamma)
-
-
-def frak_c_quadrature(hurst: float, gamma: float, tol: float = 1e-12) -> float:
-    """Independent quadrature route to :func:`frak_c`.
-
-    Integrates x^(1+gamma) times the N(0, c_h) density over x > 0 directly.
-    """
-    if not 0.0 <= gamma:
-        raise DomainError(f"gamma must be nonnegative, got {gamma!r}")
-    sd = math.sqrt(c_h(hurst))
-
-    def dens(x: float) -> float:
-        return x ** (1.0 + gamma) * math.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-
-    return adaptive_quad(dens, 0.0, 40.0 * sd, tol=tol, singularity="lower").value
 
 
 def validate_m_condition(hurst: float, m: float) -> bool:
@@ -110,22 +89,25 @@ def _crossing_weight(dt: np.ndarray, inc: np.ndarray, hurst: float,
     return w
 
 
-def _crossing_germ(a: float, gamma: float, direction: str) -> Germ:
-    """(t-s)^(1-(1+gamma)H) |B_t - B_s|^gamma on the intervals that cross a
-    upwards (B_s < a < B_t) or downwards (B_t < a < B_s), zero elsewhere."""
+def upcross_germ(a: float, gamma: float = 0.0) -> Germ:
+    """Up-crossing germ at level a; the convergence-rate harness sums it.
+
+    Per interval: (t-s)^(1-(1+gamma)H) |B_t - B_s|^gamma on up-crossings of
+    a (B_s < a < B_t), zero elsewhere.  Its :func:`riemann_sum` is
+    :func:`upcrossing_sum`.
+    """
     if not gamma >= 0.0:
         raise DomainError(f"gamma must be nonnegative, got {gamma!r}")
 
     def batch(path: FbmPath, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         bs, bt = path.values[i], path.values[j]
-        low, high = (bs, bt) if direction == "up" else (bt, bs)
-        mask = (low < a) & (a < high)
+        mask = (bs < a) & (a < bt)
         out = np.zeros(len(i))
         out[mask] = _crossing_weight(path.times[j[mask]] - path.times[i[mask]],
                                      bt[mask] - bs[mask], path.hurst, gamma)
         return out
 
-    return Germ(name=f"{direction}cross[a={a:g},gamma={gamma:g}]", batch=batch)
+    return Germ(name=f"upcross[a={a:g},gamma={gamma:g}]", batch=batch)
 
 
 def upcrossing_sum(path: FbmPath, partition: Partition, a: float,
@@ -138,21 +120,7 @@ def upcrossing_sum(path: FbmPath, partition: Partition, a: float,
     time at a.
     """
     _check_one_dim(path)
-    return riemann_sum(_crossing_germ(a, gamma, "up"), path, partition)
-
-
-def downcrossing_sum(path: FbmPath, partition: Partition, a: float,
-                     gamma: float = 0.0) -> float:
-    """Mirror of :func:`upcrossing_sum` over intervals with B_t < a < B_s."""
-    _check_one_dim(path)
-    return riemann_sum(_crossing_germ(a, gamma, "down"), path, partition)
-
-
-def bidirectional_sum(path: FbmPath, partition: Partition, a: float,
-                      gamma: float = 0.0) -> float:
-    """Up- plus down-crossing sums; divide by 2 frak_c for the local time."""
-    return (upcrossing_sum(path, partition, a, gamma)
-            + downcrossing_sum(path, partition, a, gamma))
+    return riemann_sum(upcross_germ(a, gamma), path, partition)
 
 
 def crossing_count_estimator(path: FbmPath, n: int, a: float) -> float:
@@ -233,8 +201,8 @@ class LocalTimeCurve:
     normalized: bool
 
     def __post_init__(self) -> None:
-        levels = np.asarray(self.levels, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        levels = _read_only(self.levels)
+        values = _read_only(self.values)
         if levels.ndim != 1 or levels.size < 2:
             raise ConfigurationError("level grid must hold at least two levels")
         if np.any(np.diff(levels) <= 0.0):
@@ -243,8 +211,6 @@ class LocalTimeCurve:
             raise ConfigurationError("values must match the level grid")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise DomainError("curve values must be finite and nonnegative")
-        levels.flags.writeable = False
-        values.flags.writeable = False
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "values", values)
 
@@ -366,66 +332,26 @@ class CumulativeCurve:
     hurst: float
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times = _read_only(self.times)
+        values = _read_only(self.values)
         if times.shape != values.shape or times.ndim != 1:
             raise ConfigurationError("times and values must be 1-d and aligned")
-        times.flags.writeable = False
-        values.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
 
 def cumulative_local_time(path: FbmPath, partition: Partition, a: float, *,
-                          estimator: str = "upcross",
                           gamma: float = 0.0) -> CumulativeCurve:
-    """Normalized running estimate of the local time at a over time.
+    """Normalized running up-crossing estimate of the local time at a over time.
 
     Per-interval crossing contributions accumulate left to right, so the
     curve is nondecreasing by construction.
     """
-    if estimator not in ("upcross", "bidirectional"):
-        raise ConfigurationError(
-            f"cumulative curves support 'upcross' and 'bidirectional', got {estimator!r}")
     _check_one_dim(path)
     i, j = _interval_indices(path, partition)
-    H = path.hurst
-    contrib = _crossing_germ(a, gamma, "up").evaluate_batch(path, i, j)
-    scale = frak_c(H, gamma)
-    if estimator == "bidirectional":
-        contrib += _crossing_germ(a, gamma, "down").evaluate_batch(path, i, j)
-        scale = 2.0 * scale
-    contrib /= scale
+    contrib = upcross_germ(a, gamma).evaluate_batch(path, i, j)
+    contrib /= frak_c(path.hurst, gamma)
     values = np.concatenate(([0.0], np.cumsum(contrib)))
-    return CumulativeCurve(partition.breakpoints.copy(), values, float(a),
-                           f"{estimator}(gamma={gamma:g})", H)
+    return CumulativeCurve(partition.breakpoints, values, float(a),
+                           f"upcross(gamma={gamma:g})", path.hurst)
 
-
-def lm_distance_over_levels(curve_a: LocalTimeCurve, curve_b: LocalTimeCurve,
-                            m: float = 2.0) -> float:
-    """L_m distance between two curves over their (shared) level grid.
-
-    Warns when the moment condition of :func:`validate_m_condition` fails
-    for the curves' hurst index.
-    """
-    if not m >= 1.0:
-        raise DomainError(f"m must be >= 1, got {m!r}")
-    if curve_a.levels.shape != curve_b.levels.shape or \
-            not np.allclose(curve_a.levels, curve_b.levels, rtol=0.0, atol=1e-12):
-        raise AlignmentError("curves live on different level grids")
-    if not validate_m_condition(curve_a.hurst, m):
-        warnings.warn(
-            f"moment condition fails for hurst={curve_a.hurst}, m={m}: "
-            "L_m distances are outside the guaranteed regime",
-            RegimeWarning, stacklevel=2)
-    gap = np.abs(curve_a.values - curve_b.values) ** m
-    return float(np.trapezoid(gap, curve_a.levels)) ** (1.0 / m)
-
-
-def upcross_germ(a: float, gamma: float = 0.0) -> Germ:
-    """Up-crossing germ for the convergence-rate harness.
-
-    Per interval: (t-s)^(1-(1+gamma)H) |B_t - B_s|^gamma on up-crossings of
-    a, zero elsewhere.  Its :func:`riemann_sum` is :func:`upcrossing_sum`.
-    """
-    return _crossing_germ(a, gamma, "up")

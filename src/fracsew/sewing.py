@@ -26,7 +26,6 @@ __all__ = [
     "Partition",
     "uniform_partition",
     "dyadic_partition",
-    "random_partition",
     "coarsen",
     "Germ",
     "SewingExponents",
@@ -112,14 +111,6 @@ def dyadic_partition(horizon: float, level: int) -> Partition:
     if level > 30:
         raise ConfigurationError(f"level must be an integer in [0, 30], got {level!r}")
     return uniform_partition(horizon, 2 ** level)
-
-
-def random_partition(horizon: float, n: int, rng: np.random.Generator,
-                     min_fraction: float = 1e-4) -> Partition:
-    """A random partition with n intervals; gaps bounded below to stay valid."""
-    gaps = min_fraction + rng.random(n)
-    cuts = np.concatenate([[0.0], np.cumsum(gaps)])
-    return Partition(cuts * (horizon / cuts[-1]))
 
 
 def coarsen(partition: Partition) -> Partition:
@@ -208,12 +199,6 @@ class Germ:
     name: str
     batch: Callable[[FbmPath, np.ndarray, np.ndarray], np.ndarray]
     exponents: SewingExponents | None = None
-
-    def evaluate(self, path: FbmPath, s: float, t: float) -> float:
-        idx = path.indices_of([s, t])
-        if not idx[0] < idx[1]:
-            raise DomainError(f"germ interval needs s < t on the grid, got ({s!r}, {t!r})")
-        return float(self.evaluate_batch(path, idx[:1], idx[1:])[0])
 
     def evaluate_batch(self, path: FbmPath, i: np.ndarray,
                        j: np.ndarray) -> np.ndarray:

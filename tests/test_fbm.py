@@ -22,7 +22,6 @@ from fracsew import (
     fgn_cov,
     kernel_cell_weights,
     kernel_correlation,
-    mvn_kernel,
     sample_fbm,
 )
 import fracsew.fbm
@@ -65,30 +64,6 @@ def test_c_h_domain():
 # kernel and covariance
 
 
-def test_mvn_kernel_vanishes_for_future_source():
-    assert mvn_kernel(1.0, 2.0, 0.7) == 0.0
-    assert mvn_kernel(1.0, 1.0, 0.7) == 0.0
-
-
-def test_mvn_kernel_interior_value():
-    assert mvn_kernel(1.0, 0.5, 0.7) == pytest.approx(0.5 ** 0.2, rel=1e-15)
-
-
-def test_mvn_kernel_is_indicator_at_half():
-    # H = 1/2: K(t, s) = 1 on 0 <= s < t, else 0
-    assert mvn_kernel(1.0, 0.3, 0.5) == 1.0
-    assert mvn_kernel(1.0, 0.0, 0.5) == 1.0
-    assert mvn_kernel(1.0, -0.2, 0.5) == 0.0
-    assert mvn_kernel(1.0, 1.5, 0.5) == 0.0
-
-
-def test_mvn_kernel_vectorized():
-    s = np.array([-1.0, 0.25, 2.0])
-    out = mvn_kernel(1.0, s, 0.7)
-    assert out.shape == (3,)
-    assert out[2] == 0.0
-
-
 def test_fbm_cov_brownian_is_min():
     assert fbm_cov(0.3, 0.8, 0.5) == pytest.approx(0.3, rel=1e-13)
     assert fbm_cov(0.8, 0.3, 0.5) == pytest.approx(0.3, rel=1e-13)
@@ -111,11 +86,25 @@ def test_fbm_cov_rejects_negative_times():
         fbm_cov(0.1, 0.5, 0.3, var0=-1.0)
 
 
+def _mvn_kernel(t, s, hurst):
+    """Moving-average kernel K(t, s) = (t-s)_+^(H-1/2) - (-s)_+^(H-1/2).
+
+    A nonpositive base gives 0; at H = 1/2 the kernel is the indicator of
+    0 <= s < t.
+    """
+    expo = hurst - 0.5
+
+    def pow_plus(x):
+        return (x ** expo if expo else 1.0) if x > 0.0 else 0.0
+
+    return pow_plus(t - s) - pow_plus(-s)
+
+
 def test_fbm_cov_against_kernel_quadrature():
     """Dual route: covariance as the kernel product integrated over the line."""
     s, t = 0.3, 0.7
     for H, flag in ((0.7, None), (0.25, "upper")):
-        f = lambda r: mvn_kernel(s, r, H) * mvn_kernel(t, r, H)
+        f = lambda r: _mvn_kernel(s, r, H) * _mvn_kernel(t, r, H)
         tail = adaptive_quad(f, -np.inf, 0.0, tol=2e-8).value
         body = adaptive_quad(f, 0.0, s, tol=2e-8, singularity=flag).value
         assert fbm_cov(s, t, H) == pytest.approx(tail + body, abs=1e-6)

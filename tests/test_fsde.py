@@ -20,7 +20,6 @@ from fracsew import (
     dyadic_partition,
     geometric_pair,
     holder_pair,
-    holder_seminorm,
     mollify_coefficient,
     sample_fbm,
     split_seed,
@@ -188,59 +187,6 @@ def test_geometric_solve_matches_plain_loop_bitwise(method):
     want = _reference_euler(0.1, np.diff(bvals), np.diff(part.breakpoints),
                             method == "milstein")
     assert np.array_equal(sol.values, want)
-
-
-# ---------------------------------------------------------------------------
-# Holder seminorms
-
-
-def test_seminorm_hand_cases():
-    from fracsew import FbmPath, SeedSpec
-
-    def path_of(times, values):
-        return FbmPath(hurst=0.5, times=np.asarray(times, dtype=float),
-                       values=np.asarray(values, dtype=float), var0=0.0,
-                       method="synthetic", seed=SeedSpec(0))
-
-    two = path_of([0.0, 1.0], [0.0, 3.0])
-    assert holder_seminorm(two, 0.5, method="exact") == pytest.approx(3.0)
-
-    tent = path_of([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
-    assert holder_seminorm(tent, 0.5, method="exact") == pytest.approx(
-        math.sqrt(2.0), rel=1e-14)
-
-    flat = path_of([0.0, 0.5, 1.0], [2.0, 2.0, 2.0])
-    assert holder_seminorm(flat, 0.3) == 0.0
-
-
-def test_seminorm_exact_matches_brute_force():
-    p = _driver(n=64, seed=9)
-    alpha = 0.6
-    best = 0.0
-    for i in range(65):
-        for j in range(i + 1, 65):
-            best = max(best, abs(p.values[j] - p.values[i])
-                       / (p.times[j] - p.times[i]) ** alpha)
-    assert holder_seminorm(p, alpha, method="exact") == pytest.approx(
-        best, rel=1e-12)
-
-
-def test_seminorm_dyadic_lower_bound():
-    p = _driver(n=2 ** 9, seed=13)
-    exact = holder_seminorm(p, 0.7, method="exact")
-    dyad = holder_seminorm(p, 0.7, method="dyadic")
-    assert dyad <= exact * (1.0 + 1e-12)
-    assert dyad > 0.5 * exact  # same order of magnitude
-
-
-def test_seminorm_validation():
-    p = _driver(n=8)
-    with pytest.raises(DomainError):
-        holder_seminorm(p, 0.0)
-    with pytest.raises(DomainError):
-        holder_seminorm(p, 1.0)
-    with pytest.raises(ConfigurationError):
-        holder_seminorm(p, 0.5, method="random")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from fracsew import (
     get_integrand,
     ito_germ,
     ito_left_sum,
-    random_partition,
     sample_fbm,
     stratonovich_germ,
     stratonovich_trapezoid_sum,

@@ -11,19 +11,15 @@ from fracsew import (
     FbmConfig,
     FbmPath,
     Partition,
-    RegimeWarning,
     SeedSpec,
-    bidirectional_sum,
+    adaptive_quad,
     c_h,
     crossing_count_estimator,
     cumulative_local_time,
     default_bandwidth,
     default_level_grid,
-    downcrossing_sum,
     dyadic_partition,
     frak_c,
-    frak_c_quadrature,
-    lm_distance_over_levels,
     local_time_curve,
     occupation_density_estimator,
     riemann_sum,
@@ -37,15 +33,33 @@ from fracsew import (
 from fracsew.local_time import LocalTimeCurve
 
 
+def downcrossing_sum(path, partition, a, gamma=0.0):
+    """Weighted down-crossing sum at a (B_t < a < B_s): the up-crossing sum
+    of the mirrored path at -a."""
+    return upcrossing_sum(replace(path, values=-path.values), partition, -a,
+                          gamma)
+
+
 # ---------------------------------------------------------------------------
 # limiting constants
+
+
+def _frak_c_quadrature(hurst, gamma):
+    """E[(W)_+^(1+gamma)], W ~ N(0, c_h): x^(1+gamma) times the Gaussian
+    density integrated over x > 0."""
+    sd = math.sqrt(c_h(hurst))
+
+    def dens(x):
+        return x ** (1.0 + gamma) * math.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+
+    return adaptive_quad(dens, 0.0, 40.0 * sd, tol=1e-12, singularity="lower").value
 
 
 def test_frak_c_matches_quadrature():
     for H in (0.3, 0.5, 0.7):
         for gamma in (0.0, 0.5, 1.0, 1.0 / H - 1.0):
             assert frak_c(H, gamma) == pytest.approx(
-                frak_c_quadrature(H, gamma), abs=1e-10)
+                _frak_c_quadrature(H, gamma), abs=1e-10)
 
 
 def test_frak_c_closed_forms():
@@ -112,14 +126,6 @@ def test_strict_inequalities_at_endpoints():
     assert downcrossing_sum(p, part, 0.75) > 0.0
 
 
-def test_bidirectional_is_sum_of_directions():
-    p = sample_fbm(FbmConfig(hurst=0.3, grid_n=2 ** 10, seed=17))
-    part = dyadic_partition(1.0, 8)
-    for a in (-0.2, 0.0, 0.3):
-        assert bidirectional_sum(p, part, a) == (
-            upcrossing_sum(p, part, a) + downcrossing_sum(p, part, a))
-
-
 def test_gamma_validation():
     p = _synthetic([0.0, 1.0])
     part = Partition(np.array([0.0, 1.0]))
@@ -128,14 +134,22 @@ def test_gamma_validation():
 
 
 def test_downcrossing_is_upcrossing_of_mirrored_path():
-    p = sample_fbm(FbmConfig(hurst=0.3, grid_n=2 ** 10, seed=19))
-    mirrored = replace(p, values=-p.values)
+    """The mirrored up-crossing sum weighs exactly the intervals with
+    B_t < a < B_s, as a direct loop over them does."""
+    H = 0.3
+    p = sample_fbm(FbmConfig(hurst=H, grid_n=2 ** 10, seed=19))
     part = dyadic_partition(1.0, 9)
+    idx = p.indices_of(part.breakpoints)
     for a in (-0.2, 0.0, 0.3):
         for gamma in (0.0, 0.5):
+            want = math.fsum(
+                (p.times[j] - p.times[i]) ** (1.0 - (1.0 + gamma) * H)
+                * abs(p.values[j] - p.values[i]) ** gamma
+                for i, j in zip(idx[:-1], idx[1:])
+                if p.values[j] < a < p.values[i])
             down = downcrossing_sum(p, part, a, gamma)
             assert down > 0.0
-            assert down == upcrossing_sum(mirrored, part, -a, gamma)
+            assert down == pytest.approx(want, rel=1e-12)
 
 
 def test_crossing_count_equals_flat_upcross_sum():
@@ -204,7 +218,8 @@ def test_curve_matches_scalar_estimators():
         assert exc.values[i] == pytest.approx(
             upcrossing_excess_sum(p, part, a), rel=1e-12, abs=1e-15)
         assert bi.values[i] == pytest.approx(
-            bidirectional_sum(p, part, a), rel=1e-12, abs=1e-15)
+            upcrossing_sum(p, part, a) + downcrossing_sum(p, part, a),
+            rel=1e-12, abs=1e-15)
         assert occ.values[i] == pytest.approx(
             occupation_density_estimator(p, a, 0.05), rel=1e-12, abs=1e-15)
 
@@ -291,41 +306,7 @@ def test_cumulative_curve_properties():
     assert cum.values.size == part.breakpoints.size
     assert cum.values[-1] == pytest.approx(
         upcrossing_sum(p, part, 0.0) / frak_c(0.3, 0.0), rel=1e-12)
-    bi = cumulative_local_time(p, part, 0.0, estimator="bidirectional")
-    assert bi.values[-1] == pytest.approx(
-        bidirectional_sum(p, part, 0.0) / (2.0 * frak_c(0.3, 0.0)), rel=1e-12)
-    with pytest.raises(ConfigurationError):
-        cumulative_local_time(p, part, 0.0, estimator="count")
-
-
-# ---------------------------------------------------------------------------
-# curve distances
-
-
-def test_lm_distance_basics():
-    p = sample_fbm(FbmConfig(hurst=0.3, grid_n=2 ** 9, seed=45))
-    levels = default_level_grid(p, n_levels=21)
-    a = local_time_curve(p, dyadic_partition(1.0, 9), "upcross", levels)
-    b = local_time_curve(p, dyadic_partition(1.0, 7), "upcross", levels)
-    assert lm_distance_over_levels(a, a) == 0.0
-    assert lm_distance_over_levels(a, b) > 0.0
-    other = local_time_curve(p, dyadic_partition(1.0, 9), "upcross",
-                             np.linspace(-9.0, 9.0, 21))
-    with pytest.raises(AlignmentError):
-        lm_distance_over_levels(a, other)
-    with pytest.raises(DomainError):
-        lm_distance_over_levels(a, b, m=0.5)
-
-
-def test_lm_distance_moment_guard():
-    p = sample_fbm(FbmConfig(hurst=0.7, grid_n=2 ** 9, seed=47))
-    levels = default_level_grid(p, n_levels=21)
-    a = local_time_curve(p, dyadic_partition(1.0, 9), "upcross", levels)
-    b = local_time_curve(p, dyadic_partition(1.0, 7), "upcross", levels)
-    with pytest.warns(RegimeWarning):
-        lm_distance_over_levels(a, b, m=8.0)
-    # m = 2 at H = 0.7 satisfies the moment condition: no warning
-    assert lm_distance_over_levels(a, b, m=2.0) >= 0.0
+    assert cum.estimator == "upcross(gamma=0)"
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +356,5 @@ def test_upcross_germ_matches_sum():
     assert g.name == "upcross[a=0.1,gamma=0.5]"
     assert riemann_sum(g, p, part) == pytest.approx(
         upcrossing_sum(p, part, 0.1, gamma=0.5), rel=1e-12)
-    # scalar evaluation agrees with the batch route
-    s, t = part.breakpoints[3], part.breakpoints[4]
-    i, j = p.indices_of([s, t])
-    assert g.evaluate(p, s, t) == g.batch(p, np.array([i]), np.array([j]))[0]
     with pytest.raises(DomainError):
         upcross_germ(0.0, gamma=-1.0)

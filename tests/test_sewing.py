@@ -26,13 +26,14 @@ from fracsew import (
     get_integrand,
     ito_germ,
     local_time_curve,
-    random_partition,
     riemann_sum,
     sample_fbm,
     uniform_partition,
     upcrossing_excess_sum,
     young_euler_solve,
 )
+from fracsew.fsde import SolutionPath
+from fracsew.local_time import CumulativeCurve, LocalTimeCurve
 from fracsew.sewing import Germ
 
 
@@ -97,15 +98,6 @@ def test_refines_requires_same_horizon():
     q = Partition(np.array([0.0, 0.3, 0.5, 1.0]))
     assert q.refines(p)
     assert not p.refines(q)
-
-
-def test_random_partition_valid_and_seeded():
-    rng = np.random.default_rng(5)
-    p = random_partition(1.0, 50, rng)
-    assert p.n_intervals == 50
-    assert p.horizon == 1.0
-    q = random_partition(1.0, 50, np.random.default_rng(5))
-    np.testing.assert_array_equal(p.breakpoints, q.breakpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +219,11 @@ def test_riemann_sum_passes_grid_indices():
 def test_evaluate_and_delta_germ_resolve_times():
     path = _bm_path(seed=6)
     germ = _increment_germ()
-    assert germ.evaluate(path, 0.25, 0.75) == path.value_at(0.75) - path.value_at(0.25)
-    with pytest.raises(AlignmentError):
-        germ.evaluate(path, 0.25, 0.3)
-    with pytest.raises(DomainError):
-        germ.evaluate(path, 0.75, 0.25)
     with pytest.raises(AlignmentError):
         delta_germ(germ, path, 0.25, 0.3, 0.75)
     with pytest.raises(DomainError):
         delta_germ(germ, path, 0.25, 0.75, 0.5)
     # distinct times within the grid tolerance resolve to one grid point
-    with pytest.raises(DomainError):
-        germ.evaluate(path, 0.25, 0.25 + 1e-12)
     with pytest.raises(DomainError):
         delta_germ(germ, path, 0.25, 0.25 + 1e-12, 0.5)
     with pytest.raises(AlignmentError):
@@ -360,6 +345,35 @@ def test_hand_built_path_holds_read_only_copies(lookups):
     assert riemann_sum(germ, path, part) == before == _uncached_sum(germ, path, part)
     np.testing.assert_array_equal(path.times, np.linspace(0.0, 1.0, 9))
     assert len(lookups) == 2
+
+
+def _solution_path(a, b):
+    return SolutionPath(times=a, values=b, dim=1, solver="euler",
+                        step_count=4, driver=_bm_path(seed=1))
+
+
+def _curve_from_levels(a, b):
+    path = sample_fbm(FbmConfig(hurst=0.3, grid_n=8, seed=0))
+    return local_time_curve(path, uniform_partition(1.0, 8), "upcross", a)
+
+
+@pytest.mark.parametrize("build, fields", [
+    (_solution_path, ("times", "values")),
+    (lambda a, b: LocalTimeCurve(a, b, "x", 0.3, 4, 1.0, True),
+     ("levels", "values")),
+    (lambda a, b: CumulativeCurve(a, b, 0.0, "x", 0.3), ("times", "values")),
+    (_curve_from_levels, ("levels",)),
+], ids=["SolutionPath", "LocalTimeCurve", "CumulativeCurve", "local_time_curve"])
+def test_result_types_freeze_copies_not_the_callers_arrays(build, fields):
+    """A result built from writable arrays stores read-only copies and
+    leaves the caller's arrays writable."""
+    given = (np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
+    result = build(*given)
+    for name, arr in zip(fields, given):
+        stored = getattr(result, name)
+        assert arr.flags.writeable
+        assert not stored.flags.writeable
+        assert stored is not arr
 
 
 def test_delta_germ_square_increment():
