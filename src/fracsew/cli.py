@@ -337,12 +337,10 @@ def cmd_sde(cfg: dict, out_dir: str) -> int:
 
     if mode in ("both", "thresholds"):
         grid = np.linspace(0.505, 0.995, 99)
-        rows = []
-        for h in grid:
-            th = delta_thresholds(float(h))
-            rows.append((float(h), th.strong, th.weak, th.young))
+        block = np.column_stack(
+            (grid, [delta_thresholds(h) for h in grid.tolist()]))
         write_table(os.path.join(out_dir, "thresholds.csv"),
-                    ["hurst", "strong", "weak", "young"], rows, meta)
+                    ["hurst", "strong", "weak", "young"], block, meta)
         print("wrote thresholds.csv (99 rows)")
 
     if mode in ("both", "probe"):

@@ -3,7 +3,11 @@
 All files share one shape: `# key=value` comment lines, then a header row,
 then data rows.  Floats are written with 17 significant digits so reading
 them back reproduces the exact binary values; writers emit LF newlines and
-fixed formatting so reruns are byte-identical.
+fixed formatting so reruns are byte-identical.  Every numeric writer hands
+:func:`write_table` one 2-D float block, whose rows are rendered by a single
+``%`` over a repeated ``%.17g`` row template; only rows that are not a float
+array (``report.csv``, with its string cells) go through :func:`format_value`
+cell by cell.
 """
 from __future__ import annotations
 
@@ -57,17 +61,40 @@ def _meta_lines(meta: dict) -> list[str]:
     return [f"# {key}={format_value(val)}" for key, val in meta.items()]
 
 
+def _block_text(block: np.ndarray) -> str:
+    """Data rows of a 2-D float block, LF-terminated, in one ``%`` pass.
+
+    ``"%.17g" % v`` is the conversion ``format(v, ".17g")`` makes, so each
+    cell reads as :func:`format_value` writes it.
+    """
+    nrows, ncols = block.shape
+    row = ",".join(["%.17g"] * ncols) + "\n"
+    return (row * nrows) % tuple(block.ravel().tolist())
+
+
 def write_table(file_path: str, columns: list[str], rows,
                 meta: dict | None = None) -> None:
     """Write comment metadata, a header row, and data rows.
 
-    Rows of Python scalars (``ndarray.tolist()``) format fastest.
+    ``rows`` is a 2-D float ``ndarray`` with one column per header name,
+    rendered as one block, or any iterable of rows, each cell through
+    :func:`format_value`.  Bool and integer arrays take the per-cell path,
+    so their cells keep ``true``/``false`` and decimal text.
     """
     lines = _meta_lines(meta or {})
     lines.append(",".join(columns))
-    lines.extend(",".join(map(format_value, row)) for row in rows)
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        if rows.ndim != 2 or rows.shape[1] != len(columns):
+            raise ConfigurationError(
+                f"{os.path.basename(file_path)}: a block of shape {rows.shape} "
+                f"does not fit {len(columns)} columns")
+        body = _block_text(rows)
+    else:
+        lines.extend(",".join(map(format_value, row)) for row in rows)
+        body = ""
     with open(file_path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+        fh.write(body)
 
 
 def parse_scalar(raw: str):
@@ -140,14 +167,12 @@ def write_path_csv(file_path: str, path: FbmPath,
         "method": path.method,
     }
     base.update(meta or {})
-    times, values = path.times.tolist(), path.values.tolist()
     if path.dim == 1:
         columns = ["t", "value"]
-        rows = zip(times, values)
     else:
         columns = ["t"] + [f"value{k}" for k in range(path.dim)]
-        rows = ((t, *vals) for t, vals in zip(times, values))
-    write_table(file_path, columns, rows, base)
+    write_table(file_path, columns, np.column_stack((path.times, path.values)),
+                base)
 
 
 def read_path_csv(file_path: str):
@@ -171,9 +196,9 @@ def write_rate_csv(file_path: str, fit: RateFitResult,
         "exact": fit.exact,
     }
     base.update(meta or {})
-    rows = ((mesh, lm.value, lm.stderr)
-            for mesh, lm in zip(fit.meshes, fit.lm_distances))
-    write_table(file_path, ["mesh", "lm_distance", "stderr"], rows, base)
+    block = np.column_stack((fit.meshes, [(lm.value, lm.stderr)
+                                          for lm in fit.lm_distances]))
+    write_table(file_path, ["mesh", "lm_distance", "stderr"], block, base)
 
 
 def write_curve_csv(file_path: str, curve: LocalTimeCurve,
@@ -187,7 +212,7 @@ def write_curve_csv(file_path: str, curve: LocalTimeCurve,
     }
     base.update(meta or {})
     write_table(file_path, ["level", "value"],
-                zip(curve.levels.tolist(), curve.values.tolist()), base)
+                np.column_stack((curve.levels, curve.values)), base)
 
 
 def read_curve_csv(file_path: str):
@@ -205,7 +230,7 @@ def write_cumulative_csv(file_path: str, curve: CumulativeCurve,
     }
     base.update(meta or {})
     write_table(file_path, ["t", "value"],
-                zip(curve.times.tolist(), curve.values.tolist()), base)
+                np.column_stack((curve.times, curve.values)), base)
 
 
 def write_probe_csv(file_path: str, report: ProbeReport,
@@ -226,9 +251,9 @@ def write_probe_csv(file_path: str, report: ProbeReport,
                          else report.plateau_free),
     }
     base.update(meta or {})
-    rows = ((int(r[0]), int(r[1]), r[2], int(r[3]), r[4], r[5])
-            for r in report.pair_table.tolist())
+    # the integral replica and level columns are floats below 1e17, which
+    # %.17g writes exactly as their decimal integers
     write_table(file_path,
                 ["replica", "level_a", "scale_a", "level_b", "scale_b",
                  "sup_distance"],
-                rows, base)
+                report.pair_table, base)

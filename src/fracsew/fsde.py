@@ -244,10 +244,20 @@ def _radial_bump(x: np.ndarray, radius: float) -> np.ndarray:
     """Smooth cutoff: 1 at the origin, support |x| < radius.
 
     From the radius on, r2 is capped just below 1, where exp(1 - 1/(1 - r2)) is 0.
+    Returns a fresh array of shape ``x.shape[:-1]`` (0-d for one state), so
+    callers may keep computing in it.
     """
-    r2 = np.add.reduce(x * x, axis=-1) / (radius * radius)
-    capped = np.minimum(r2, _BELOW_ONE)
-    return np.exp(1.0 - 1.0 / (1.0 - capped))
+    r2 = np.empty(x.shape[:-1])
+    if x.shape[-1] == 1:
+        np.multiply(x[..., 0], x[..., 0], out=r2)
+    else:
+        np.add.reduce(x * x, axis=-1, out=r2)
+    np.divide(r2, radius * radius, out=r2)
+    np.minimum(r2, _BELOW_ONE, out=r2)
+    np.subtract(1.0, r2, out=r2)
+    np.divide(1.0, r2, out=r2)
+    np.subtract(1.0, r2, out=r2)
+    return np.exp(r2, out=r2)
 
 
 def builtin_holder_sigma(delta: float, dim: int = 1, kappa: float = 0.5,
@@ -266,7 +276,17 @@ def builtin_holder_sigma(delta: float, dim: int = 1, kappa: float = 0.5,
     def sigma(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         x1 = x[..., 0]
-        factor = 1.0 + kappa * _radial_bump(x, radius) * np.sign(x1) * np.abs(x1) ** (1.0 + delta)
+        factor = _radial_bump(x, radius)
+        np.multiply(kappa, factor, out=factor)
+        odd = np.abs(x1, out=np.empty(x1.shape))
+        np.power(odd, 1.0 + delta, out=odd)
+        # sign(x1) |x1|^(1+delta) by copysign: rounding is sign-symmetric, so
+        # the product below equals the one with np.sign(x1) bit for bit
+        np.copysign(odd, x1, out=odd)
+        np.multiply(factor, odd, out=factor)
+        np.add(1.0, factor, out=factor)
+        if dim == 1:
+            return factor[..., None, None]
         return factor[..., None, None] * eye
 
     return sigma

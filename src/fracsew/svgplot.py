@@ -49,6 +49,12 @@ def _span(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _points_text(px: np.ndarray, py: np.ndarray) -> str:
+    """``x,y`` pixel pairs to two decimals, space-separated, in one ``%``."""
+    pairs = np.column_stack((px, py)).ravel().tolist()
+    return (("%.2f,%.2f " * px.size) % tuple(pairs))[:-1]
+
+
 def polyline_svg(series: list[Series], *, title: str = "",
                  x_label: str = "", y_label: str = "",
                  comments: tuple[str, ...] = ()) -> str:
@@ -109,8 +115,7 @@ def polyline_svg(series: list[Series], *, title: str = "",
         color = PALETTE[i % len(PALETTE)]
         # sx/sy map whole arrays with the same IEEE operations, in the same
         # order, as they map one Python float, so the pixels are bit-equal
-        pts = " ".join("%.2f,%.2f" % pt
-                       for pt in zip(sx(s.x).tolist(), sy(s.y).tolist()))
+        pts = _points_text(sx(s.x), sy(s.y))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.2"/>')
         if s.label:

@@ -3,6 +3,7 @@ import pytest
 
 from fracsew import (
     ConfigurationError,
+    CumulativeCurve,
     FbmConfig,
     constant_pair,
     cumulative_local_time,
@@ -13,6 +14,7 @@ from fracsew import (
     sample_fbm,
     uniqueness_probe,
 )
+from fracsew.cli import main
 from fracsew.csvio import (
     format_value,
     parse_scalar,
@@ -231,11 +233,16 @@ def test_typed_writers_match_per_cell_reference(tmp_path):
     assert _data_lines(f) == _reference_lines(["t", "value"],
                                               zip(p.times, p.values))
 
+    # a dim-2 path.csv, meta lines included, byte for byte
     p2 = sample_fbm(FbmConfig(hurst=0.6, grid_n=64, seed=5, dim=2))
-    write_path_csv(f, p2)
-    assert _data_lines(f) == _reference_lines(
+    write_path_csv(f, p2, {"note": "unit"})
+    meta = {"hurst": p2.hurst, "horizon": p2.horizon, "grid_n": p2.grid_n,
+            "var0": p2.var0, "method": p2.method, "note": "unit"}
+    expected = "".join(f"# {k}={_per_cell(v)}\n" for k, v in meta.items())
+    expected += _reference_lines(
         ["t", "value0", "value1"],
         ((t, *vals) for t, vals in zip(p2.times, p2.values)))
+    assert open(f, "rb").read() == expected.encode()
 
     curve = local_time_curve(p, dyadic_partition(1.0, 8), "excess",
                              default_level_grid(p, 31))
@@ -256,3 +263,61 @@ def test_typed_writers_match_per_cell_reference(tmp_path):
          "sup_distance"],
         ((int(r[0]), int(r[1]), r[2], int(r[3]), r[4], r[5])
          for r in rep.pair_table))
+
+    fit = _tiny_fit()
+    write_rate_csv(f, fit)
+    assert _data_lines(f) == _reference_lines(
+        ["mesh", "lm_distance", "stderr"],
+        ((mesh, lm.value, lm.stderr)
+         for mesh, lm in zip(fit.meshes, fit.lm_distances)))
+
+
+_AWKWARD = [-0.0, 5e-324, np.inf, -np.inf, np.nan, 1e300, 0.1, 3.0, 1e16,
+            2.0 ** 53]
+
+
+@pytest.mark.parametrize("shape", [(10, 1), (5, 2), (1, 10)])
+def test_float_block_cells_match_format_value(tmp_path, shape):
+    f = str(tmp_path / "block.csv")
+    columns = [f"c{k}" for k in range(shape[1])]
+    write_table(f, columns, np.array(_AWKWARD).reshape(shape))
+    lines = open(f, newline="").read().split("\n")
+    assert lines[0] == ",".join(columns) and lines[-1] == ""
+    cells = ",".join(lines[1:-1]).split(",")
+    assert cells == [format_value(v) for v in _AWKWARD] == [
+        "-0", "4.9406564584124654e-324", "inf", "-inf", "nan",
+        "1.0000000000000001e+300", "0.10000000000000001", "3",
+        "10000000000000000", "9007199254740992"]
+
+
+def test_bool_and_integer_arrays_keep_the_cell_rule(tmp_path):
+    f = str(tmp_path / "typed.csv")
+    write_table(f, ["a", "b"], np.array([[True, False], [False, True]]))
+    assert open(f).read() == "a,b\ntrue,false\nfalse,true\n"
+    write_table(f, ["a", "b"], np.array([[3, -7], [0, 2 ** 62]]))
+    assert open(f).read() == f"a,b\n3,-7\n0,{2 ** 62}\n"
+
+
+@pytest.mark.parametrize("block", [np.zeros(3), np.zeros((3, 3)),
+                                   np.zeros((2, 2, 2))],
+                         ids=["one_dim", "too_many_columns", "three_dim"])
+def test_float_block_must_fit_the_header(tmp_path, block):
+    with pytest.raises(ConfigurationError, match="block.csv"):
+        write_table(str(tmp_path / "block.csv"), ["a", "b"], block)
+
+
+def test_zero_row_block_writes_meta_and_header_only(tmp_path):
+    f = str(tmp_path / "empty.csv")
+    write_table(f, ["t", "value"], np.empty((0, 2)), {"k": 1, "x": 0.5})
+    assert open(f, "rb").read() == b"# k=1\n# x=0.5\nt,value\n"
+
+    out = tmp_path / "runs"
+    out.mkdir()
+    empty = CumulativeCurve(np.empty(0), np.empty(0), 0.0,
+                            "upcross(gamma=0)", 0.3)
+    write_cumulative_csv(str(out / "cumulative.csv"), empty)
+    assert (out / "cumulative.csv").read_bytes() == (
+        b"# estimator=upcross(gamma=0)\n# level=0\n# hurst=0.29999999999999999\n"
+        b"t,value\n")
+    assert main(["report", "--out", str(out)]) == 2
+

@@ -265,6 +265,41 @@ def test_builtin_sigma_identity_at_origin():
         builtin_holder_sigma(0.0)
 
 
+def _reference_holder_sigma(delta, dim, kappa=0.5, radius=2.0):
+    """The out-of-place formula: bump times sign(x1) |x1|^(1+delta), times I."""
+    eye = np.eye(dim)
+
+    def sigma(x):
+        x = np.asarray(x, dtype=float)
+        x1 = x[..., 0]
+        r2 = np.add.reduce(x * x, axis=-1) / (radius * radius)
+        bump = np.exp(1.0 - 1.0 / (1.0 - np.minimum(r2, np.nextafter(1.0, 0.0))))
+        factor = 1.0 + kappa * bump * np.sign(x1) * np.abs(x1) ** (1.0 + delta)
+        return factor[..., None, None] * eye
+
+    return sigma
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kappa", [0.5, -0.3])
+def test_builtin_sigma_is_bit_equal_to_reference_formula(dim, kappa):
+    sigma = builtin_holder_sigma(0.25, dim=dim, kappa=kappa)
+    reference = _reference_holder_sigma(0.25, dim, kappa=kappa)
+    first = np.array([0.0, -0.0, 2.0, -2.0, 2.5, -1e3, 1e-160, -1e-160,
+                      1.0, -0.5])
+    special = np.zeros((first.size, dim))
+    special[:, 0] = first
+    if dim == 2:
+        special[::3, 1] = [1.9, -0.0, 2.0, 1e-160]
+    rng = np.random.default_rng(17)
+    cases = [special, rng.uniform(-2.5, 2.5, (4, 3, 5, dim)),
+             np.zeros(dim), np.full(dim, -0.0), np.full(dim, 0.7)]
+    for x in cases:
+        got, want = sigma(x), reference(x)
+        assert got.shape == want.shape == x.shape[:-1] + (dim, dim)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_builtin_sigma_gradient_holder_exponent():
     """Difference quotients of the gradient: bounded at delta, unbounded
     just above."""

@@ -88,3 +88,19 @@ def test_series_rejects_bad_shapes():
         Series(np.array([0.0]), np.array([1.0]))
     with pytest.raises(ConfigurationError):
         Series(np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def _per_point_join(px: np.ndarray, py: np.ndarray) -> str:
+    return " ".join("%.2f,%.2f" % pt for pt in zip(px.tolist(), py.tolist()))
+
+
+@pytest.mark.parametrize("px,py", [
+    (np.array([62.0]), np.array([362.0])),
+    (np.array([-0.004, -0.0, 0.0049]), np.array([-0.001, 1.005, -0.005])),
+    (np.random.default_rng(5).uniform(-10.0, 810.0, 257),
+     np.random.default_rng(6).uniform(-10.0, 410.0, 257)),
+], ids=["one_point", "negative_zero_pixels", "random"])
+def test_points_text_matches_per_point_join(px, py):
+    text = svgplot._points_text(px, py)
+    assert text == _per_point_join(px, py)
+    assert not text.endswith(" ")
