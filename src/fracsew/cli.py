@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 
@@ -130,6 +131,8 @@ def effective_config(command: str, preset: str | None, config_path: str | None,
         except ValueError as exc:
             raise ConfigurationError(
                 f"config key {key}={val!r} is not a valid {schema[key].__name__}") from exc
+        if schema[key] is float and not math.isfinite(cast[key]):
+            raise ConfigurationError(f"config key {key}={val!r} is not finite")
     return cast
 
 
@@ -147,6 +150,15 @@ def _parse_level_list(spec: str) -> list[int]:
         return [int(part) for part in spec.split(",")]
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse level list {spec!r}") from exc
+
+
+def _grid_levels(spec: str) -> list[int]:
+    """A nonempty level list whose finest level is a valid grid exponent."""
+    levels = _parse_level_list(spec)
+    if not levels:
+        raise ConfigurationError("levels list is empty")
+    _check_grid_exp(max(levels), "levels")
+    return levels
 
 
 def _parse_scales(spec: str) -> list[float]:
@@ -296,10 +308,7 @@ def _resolve_germ(cfg: dict) -> Germ:
 def cmd_rate(cfg: dict, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     meta = _meta("rate", cfg)
-    levels = _parse_level_list(cfg["levels"])
-    if not levels:
-        raise ConfigurationError("levels list is empty")
-    _check_grid_exp(max(levels), "levels")
+    levels = _grid_levels(cfg["levels"])
     germ = _resolve_germ(cfg)
     config = FbmConfig(hurst=cfg["hurst"], horizon=cfg["horizon"],
                        grid_n=2 ** max(levels), var0=cfg["var0"],
@@ -334,6 +343,8 @@ def cmd_sde(cfg: dict, out_dir: str) -> int:
     mode = cfg["mode"]
     if mode not in ("both", "probe", "thresholds"):
         raise ConfigurationError(f"mode must be both/probe/thresholds, got {mode!r}")
+    if mode in ("both", "probe"):
+        levels = _grid_levels(cfg["levels"])
 
     if mode in ("both", "thresholds"):
         grid = np.linspace(0.505, 0.995, 99)
@@ -360,7 +371,7 @@ def cmd_sde(cfg: dict, out_dir: str) -> int:
             raise ConfigurationError(f"case must be a/b/c/constant, got {case!r}")
         report = uniqueness_probe(
             cfg["hurst"], cfg["delta"], x0=cfg["x0"],
-            mesh_levels=tuple(_parse_level_list(cfg["levels"])),
+            mesh_levels=tuple(levels),
             scales=tuple(_parse_scales(cfg["scales"])),
             replicas=cfg["replicas"], seed=cfg["seed"],
             horizon=cfg["horizon"], coeffs=coeffs)

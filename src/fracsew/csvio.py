@@ -29,10 +29,8 @@ __all__ = [
     "TableData",
     "read_table",
     "write_path_csv",
-    "read_path_csv",
     "write_rate_csv",
     "write_curve_csv",
-    "read_curve_csv",
     "write_cumulative_csv",
     "write_probe_csv",
 ]
@@ -79,18 +77,26 @@ def write_table(file_path: str, columns: list[str], rows,
     ``rows`` is a 2-D float ``ndarray`` with one column per header name,
     rendered as one block, or any iterable of rows, each cell through
     :func:`format_value`.  Bool and integer arrays take the per-cell path,
-    so their cells keep ``true``/``false`` and decimal text.
+    so their cells keep ``true``/``false`` and decimal text.  A block or row
+    that does not fit the header raises :class:`ConfigurationError`, and
+    nothing is written.
     """
+    name = os.path.basename(file_path)
     lines = _meta_lines(meta or {})
     lines.append(",".join(columns))
     if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
         if rows.ndim != 2 or rows.shape[1] != len(columns):
             raise ConfigurationError(
-                f"{os.path.basename(file_path)}: a block of shape {rows.shape} "
-                f"does not fit {len(columns)} columns")
+                f"{name}: a block of shape {rows.shape} does not fit "
+                f"{len(columns)} columns")
         body = _block_text(rows)
     else:
-        lines.extend(",".join(map(format_value, row)) for row in rows)
+        for k, row in enumerate(rows):
+            cells = list(map(format_value, row))
+            if len(cells) != len(columns):
+                raise ConfigurationError(f"{name}: row {k} {tuple(row)!r} has "
+                                         f"{len(cells)} cells, the header {len(columns)}")
+            lines.append(",".join(cells))
         body = ""
     with open(file_path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -175,14 +181,6 @@ def write_path_csv(file_path: str, path: FbmPath,
                 base)
 
 
-def read_path_csv(file_path: str):
-    """Returns (times, values, meta); values 1-d for scalar paths."""
-    table = read_table(file_path)
-    times = table.rows[:, 0]
-    values = table.rows[:, 1] if table.rows.shape[1] == 2 else table.rows[:, 1:]
-    return times, values, table.meta
-
-
 def write_rate_csv(file_path: str, fit: RateFitResult,
                    meta: dict | None = None) -> None:
     base = {
@@ -213,12 +211,6 @@ def write_curve_csv(file_path: str, curve: LocalTimeCurve,
     base.update(meta or {})
     write_table(file_path, ["level", "value"],
                 np.column_stack((curve.levels, curve.values)), base)
-
-
-def read_curve_csv(file_path: str):
-    """Returns (levels, values, meta)."""
-    table = read_table(file_path)
-    return table.rows[:, 0], table.rows[:, 1], table.meta
 
 
 def write_cumulative_csv(file_path: str, curve: CumulativeCurve,

@@ -227,10 +227,6 @@ class FbmPath:
     def dim(self) -> int:
         return 1 if self.values.ndim == 1 else int(self.values.shape[1])
 
-    @property
-    def step(self) -> float:
-        return self.horizon / self.grid_n
-
     def indices_of(self, t) -> np.ndarray:
         """Grid indices of the given times; raises if any is off-grid."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -245,14 +241,6 @@ class FbmPath:
             bad = t[np.argmax(err)]
             raise AlignmentError(f"time {bad!r} is not on the sampling grid")
         return idx
-
-    def value_at(self, t: float):
-        idx = int(self.indices_of(t)[0])
-        v = self.values[idx]
-        return float(v) if self.values.ndim == 1 else v
-
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +405,7 @@ def sample_fbm(config: FbmConfig, method: str = "circulant",
 # conditional structure of one increment given the past
 
 
-def _window_integral(length: float, gap: float, hurst: float, power: int,
-                     tol: float) -> float:
+def _window_integral(length: float, gap: float, hurst: float, power: int) -> float:
     """Integral over [0, length] of x^(2a) ((1 + gap/x)^a - 1)^power, a = H - 1/2.
 
     With x = s - r, gap = t - s, length = s - v and D(r) = K(t,r) - K(s,r),
@@ -436,7 +423,7 @@ def _window_integral(length: float, gap: float, hurst: float, power: int,
     edges = [0.0, min(gap, length)]
     while edges[-1] < length:
         edges.append(min(4.0 * edges[-1], length))
-    piece_tol = tol / (len(edges) - 1)
+    piece_tol = 1e-11 / (len(edges) - 1)  # 1e-11 absolute over the window
     total = adaptive_quad(fn, 0.0, edges[1], tol=piece_tol, singularity="lower").value
     for lo, hi in zip(edges[1:-1], edges[2:]):
         total += adaptive_quad(fn, lo, hi, tol=piece_tol).value
@@ -461,13 +448,9 @@ class ConditionalMoments:
     def sigma_s(self) -> float:
         return math.sqrt(self.sigma_s_sq)
 
-    @property
-    def sigma_st(self) -> float:
-        return math.sqrt(self.sigma_st_sq)
 
-
-def conditional_increment_moments(v: float, s: float, t: float, hurst: float,
-                                  tol: float = 1e-11) -> ConditionalMoments:
+def conditional_increment_moments(v: float, s: float, t: float,
+                                  hurst: float) -> ConditionalMoments:
     """Exact conditional moments over the window that starts at v.
 
     The conditional variance of B_s is closed-form, (s-v)^(2H) / (2H); the
@@ -480,8 +463,8 @@ def conditional_increment_moments(v: float, s: float, t: float, hurst: float,
     if not (0.0 <= v < s <= t):
         raise DomainError(f"need 0 <= v < s <= t, got ({v!r}, {s!r}, {t!r})")
     sigma_s_sq = (s - v) ** (2 * H) / (2 * H)
-    rho_st = _window_integral(s - v, t - s, H, 1, tol)
-    sigma_st_sq = (_window_integral(s - v, t - s, H, 2, tol)
+    rho_st = _window_integral(s - v, t - s, H, 1)
+    sigma_st_sq = (_window_integral(s - v, t - s, H, 2)
                    + (t - s) ** (2 * H) / (2 * H))
     kappa = sigma_st_sq - rho_st * rho_st / sigma_s_sq
     if kappa < -1e-10 * max(sigma_st_sq, 1e-300):
@@ -499,8 +482,7 @@ class KernelCorrelation:
     remainder: float
 
 
-def kernel_correlation(v: float, s: float, t: float, hurst: float,
-                       tol: float = 1e-11) -> KernelCorrelation:
+def kernel_correlation(v: float, s: float, t: float, hurst: float) -> KernelCorrelation:
     """Correlation integral of the kernel against its time-shift.
 
     value      = integral over [v, s] of K(s,r) K(t,r) dr,
@@ -520,7 +502,7 @@ def kernel_correlation(v: float, s: float, t: float, hurst: float,
     if t == s:
         value = (s - v) ** (2 * H) / (2 * H)
         return KernelCorrelation(value=value, asymptotic=value, remainder=0.0)
-    value = (s - v) ** (2 * H) / (2 * H) + _window_integral(s - v, t - s, H, 1, tol)
+    value = (s - v) ** (2 * H) / (2 * H) + _window_integral(s - v, t - s, H, 1)
     asym = ((s - v) ** (2 * H) / (2 * H)
             + 0.5 * (s - v) ** (2 * H - 1) * (t - s)
             - 0.5 * c_h(H) * (t - s) ** (2 * H))

@@ -61,7 +61,6 @@ class CoefficientPair:
     drift_bound: float | None = None
     diffusion_bound: float | None = None
     grad_holder_delta: float | None = None
-    diffusion_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dim", _as_count(self.dim, "dim", 1))
@@ -101,9 +100,7 @@ class SolutionPath:
     times: np.ndarray
     values: np.ndarray
     dim: int
-    solver: str
     step_count: int
-    driver: FbmPath
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", _read_only(self.times))
@@ -122,38 +119,24 @@ def _as_state(x0, dim: int) -> np.ndarray:
 
 
 def young_euler_solve(coeffs: CoefficientPair, x0, driver: FbmPath,
-                      partition: Partition, method: str = "euler") -> SolutionPath:
+                      partition: Partition) -> SolutionPath:
     """Explicit left-point stepping X_{k+1} = X_k + b(X_k)dt + sigma(X_k)dB.
 
     The scheme is exact for constant diffusion with zero drift.  Drivers at
-    or below hurst 1/2 are outside the guaranteed regime and warn.  The
-    ``milstein`` method adds the second-order correction
-    (1/2) sigma'(X) sigma(X) (dB)^2 (one-dimensional only, requires
-    ``diffusion_jacobian``); it is a rate-study tool, not the contract
-    solver.
+    or below hurst 1/2 are outside the guaranteed regime and warn.
     """
     if coeffs.dim != driver.dim:
         raise DomainError(
             f"coefficient dimension {coeffs.dim} does not match driver dimension {driver.dim}")
-    if method not in ("euler", "milstein"):
-        raise ConfigurationError(f"unknown solver method {method!r}")
-    if method == "milstein":
-        if coeffs.dim != 1:
-            raise CapabilityError("milstein correction is one-dimensional")
-        if coeffs.diffusion_jacobian is None:
-            raise CapabilityError("milstein correction needs diffusion_jacobian")
     if driver.hurst <= 0.5:
         warnings.warn("young_euler_solve outside its guaranteed regime for "
                       f"hurst={driver.hurst}", RegimeWarning, stacklevel=2)
     i, j = _interval_indices(driver, partition)
     db = (driver.values[j] - driver.values[i]).reshape(i.size, driver.dim)
-    jacobian = coeffs.diffusion_jacobian if method == "milstein" else None
-    out = _batched_euler(coeffs, _as_state(x0, coeffs.dim), np.diff(partition.breakpoints),
-                         db, jacobian)
+    out = _batched_euler(coeffs, _as_state(x0, coeffs.dim), np.diff(partition.breakpoints), db)
     values = out[:, 0] if coeffs.dim == 1 else out
     return SolutionPath(times=partition.breakpoints, values=values,
-                        dim=coeffs.dim, solver=method,
-                        step_count=partition.n_intervals, driver=driver)
+                        dim=coeffs.dim, step_count=partition.n_intervals)
 
 
 def _coefficient(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -166,14 +149,12 @@ def _coefficient(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return value
 
 
-def _batched_euler(coeffs: CoefficientPair, x0: np.ndarray, dt: np.ndarray, db: np.ndarray,
-                   jacobian: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+def _batched_euler(coeffs: CoefficientPair, x0: np.ndarray, dt: np.ndarray,
+                   db: np.ndarray) -> np.ndarray:
     """Euler stepping of a state of shape (..., d) on a shared step grid.
 
     x0: (..., d); dt: (N,); db: (N, ..., d), broadcast against the state's
-    batch axes.  Returns (N+1, ..., d).  With ``jacobian`` (d = 1) each step
-    adds the Milstein term (1/2) sigma'(X) sigma(X) dB^2 after the Euler
-    update.
+    batch axes.  Returns (N+1, ..., d).
     """
     n_steps = dt.size
     traj = np.empty((n_steps + 1,) + x0.shape)
@@ -182,13 +163,9 @@ def _batched_euler(coeffs: CoefficientPair, x0: np.ndarray, dt: np.ndarray, db: 
     sigma_shape = x0.shape + x0.shape[-1:]
     db_col = db[..., None]
     for k in range(n_steps):
-        xk = x
-        bx = _coefficient(coeffs.drift, xk, x0.shape, "drift")
-        sx = _coefficient(coeffs.diffusion, xk, sigma_shape, "diffusion")
-        x = xk + bx * dt[k] + (sx @ db_col[k])[..., 0]
-        if jacobian is not None:
-            jac = np.asarray(jacobian(xk), dtype=float).reshape(x0.shape)
-            x = x + 0.5 * jac * sx[..., 0] * db[k] ** 2
+        bx = _coefficient(coeffs.drift, x, x0.shape, "drift")
+        sx = _coefficient(coeffs.diffusion, x, sigma_shape, "diffusion")
+        x = x + bx * dt[k] + (sx @ db_col[k])[..., 0]
         if not np.isfinite(x).all():
             raise NumericalError(f"non-finite state at step {k}", step=k)
         traj[k + 1] = x
@@ -196,43 +173,34 @@ def _batched_euler(coeffs: CoefficientPair, x0: np.ndarray, dt: np.ndarray, db: 
 
 
 def mollify_coefficient(fn: Callable[[np.ndarray], np.ndarray], scale: float,
-                        dim: int = 1, order: int = 32) -> Callable[[np.ndarray], np.ndarray]:
+                        dim: int = 1) -> Callable[[np.ndarray], np.ndarray]:
     """Gaussian smoothing x -> E[fn(x + scale Z)], Z standard normal in R^d.
 
-    Evaluated by tensorized Gauss--Hermite quadrature with a fixed summation
-    order, so results do not depend on how calls are batched.  Exact for
-    affine maps; supports scalar-, vector- and matrix-valued fn.  Dimensions
+    ``fn`` is a diffusion under :class:`CoefficientPair`'s batch contract:
+    states (..., d) map to matrices (..., d, d), and any other output shape
+    raises :class:`CapabilityError`.  Evaluated by tensorized 32-node
+    Gauss--Hermite quadrature with a fixed summation order, so results do
+    not depend on how calls are batched; exact for affine maps.  Dimensions
     above 2 are not supported.
     """
     if not scale > 0.0:
         raise DomainError(f"scale must be positive, got {scale!r}")
+    nodes1, w = _hermite_rule(32)
     if dim == 1:
-        nodes1, w = _hermite_rule(order)
         offsets = nodes1[:, None]
     elif dim == 2:
-        nodes1, w1 = _hermite_rule(order)
         xx, yy = np.meshgrid(nodes1, nodes1, indexing="ij")
         offsets = np.column_stack([xx.ravel(), yy.ravel()])
-        w = np.outer(w1, w1).ravel()
+        w = np.outer(w, w).ravel()
     else:
         raise CapabilityError("mollification supports dim <= 2")
     shifts = scale * offsets
-    w_matrix = w[:, None, None]
-    w_vector = w[:, None]
+    w = w[:, None, None]
 
     def smooth(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        pts = x[..., None, :] + shifts
-        vals = np.asarray(fn(pts), dtype=float)
-        base = pts.shape[:-1]
-        if vals.shape == base + (dim, dim):
-            return np.add.reduce(w_matrix * vals, axis=-3)
-        if vals.shape == base + (dim,):
-            return np.add.reduce(w_vector * vals, axis=-2)
-        if vals.shape == base:
-            return np.add.reduce(w * vals, axis=-1)
-        raise CapabilityError(
-            f"cannot infer output kind from shape {vals.shape} at {base}")
+        pts = np.asarray(x, dtype=float)[..., None, :] + shifts
+        vals = _coefficient(fn, pts, pts.shape[:-1] + (dim, dim), "diffusion")
+        return np.add.reduce(w * vals, axis=-3)
 
     return smooth
 
@@ -260,12 +228,15 @@ def _radial_bump(x: np.ndarray, radius: float) -> np.ndarray:
     return np.exp(r2, out=r2)
 
 
-def builtin_holder_sigma(delta: float, dim: int = 1, kappa: float = 0.5,
-                         radius: float = 2.0) -> Callable[[np.ndarray], np.ndarray]:
+_HOLDER_RADIUS = 2.0  # support radius of the Holder diffusion's cutoff
+
+
+def builtin_holder_sigma(delta: float, dim: int = 1,
+                         kappa: float = 0.5) -> Callable[[np.ndarray], np.ndarray]:
     """Diagonal diffusion whose gradient is exactly delta-Holder at 0.
 
     sigma(x) = I * (1 + kappa * psi(x) * sign(x_1) |x_1|^(1+delta)) with a
-    smooth radial cutoff psi of the given support radius; sigma(0) = I, and
+    smooth radial cutoff psi of support radius 2; sigma(0) = I, and
     the scalar factor stays in (1 - kappa', 1 + kappa') so the matrix is
     symmetric positive definite for kappa small enough.
     """
@@ -276,7 +247,7 @@ def builtin_holder_sigma(delta: float, dim: int = 1, kappa: float = 0.5,
     def sigma(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         x1 = x[..., 0]
-        factor = _radial_bump(x, radius)
+        factor = _radial_bump(x, _HOLDER_RADIUS)
         np.multiply(kappa, factor, out=factor)
         odd = np.abs(x1, out=np.empty(x1.shape))
         np.power(odd, 1.0 + delta, out=odd)
@@ -330,25 +301,21 @@ def geometric_pair() -> CoefficientPair:
         x = np.asarray(x, dtype=float)
         return x[..., 0][..., None, None] * eye
 
-    def jac(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1] + (1, 1, 1))
-
     return CoefficientPair(drift=_zero_drift(1), diffusion=sigma, dim=1,
-                           name="geometric", diffusion_jacobian=jac)
+                           name="geometric")
 
 
 def holder_pair(delta: float, dim: int = 1, kappa: float = 0.5,
-                radius: float = 2.0, drift_strength: float = 0.0) -> CoefficientPair:
+                drift_strength: float = 0.0) -> CoefficientPair:
     """Built-in test equation: optional bounded drift + the delta-Holder sigma."""
     drift = (_zero_drift(dim) if drift_strength == 0.0
              else bounded_drift(drift_strength, dim))
-    sigma = builtin_holder_sigma(delta, dim=dim, kappa=kappa, radius=radius)
+    sigma = builtin_holder_sigma(delta, dim=dim, kappa=kappa)
     return CoefficientPair(
         drift=drift, diffusion=sigma, dim=dim,
         name=f"holder(delta={delta:g},drift={drift_strength:g})",
         drift_bound=2.0 * drift_strength if drift_strength else 0.0,
-        diffusion_bound=1.0 + kappa * (radius ** (1.0 + delta)) * 4.0,
+        diffusion_bound=1.0 + kappa * (_HOLDER_RADIUS ** (1.0 + delta)) * 4.0,
         grad_holder_delta=delta)
 
 
@@ -423,8 +390,7 @@ def uniqueness_probe(hurst: float, delta: float, *, x0: float = 0.1,
                      mesh_levels: tuple[int, ...] = (8, 9, 10, 11, 12),
                      scales: tuple[float, ...] = (2 ** -4, 2 ** -5, 2 ** -6, 2 ** -7, 2 ** -8),
                      replicas: int = 20, seed: int = 0, horizon: float = 1.0,
-                     coeffs: CoefficientPair | None = None,
-                     quad_order: int = 32) -> ProbeReport:
+                     coeffs: CoefficientPair | None = None) -> ProbeReport:
     """Joint refinement/mollification probe for pathwise uniqueness.
 
     For each replica (one driving path), solves the equation on every
@@ -461,9 +427,7 @@ def uniqueness_probe(hurst: float, delta: float, *, x0: float = 0.1,
     # increments; each scale's mollified sigma is still called on its own
     # slice, once per scale and step
     x0_state = np.full((len(scales), replicas, dim), float(x0))
-    smooth_sigma = [mollify_coefficient(coeffs.diffusion, s, dim=dim,
-                                        order=quad_order)
-                    for s in scales]
+    smooth_sigma = [mollify_coefficient(coeffs.diffusion, s, dim=dim) for s in scales]
 
     def stacked_sigma(x: np.ndarray) -> np.ndarray:
         out = np.empty(x.shape + x.shape[-1:])

@@ -185,20 +185,18 @@ def chain_rule_oracle(f: IntegrandSpec, path: FbmPath) -> float:
 def gaussian_smooth_F(fn: Callable[[np.ndarray], np.ndarray],
                       mu: float, sigma: float, *,
                       discontinuous: bool = False,
-                      jumps: tuple[float, ...] = (),
-                      order: int = 64,
-                      tol: float = 1e-10) -> float:
+                      jumps: tuple[float, ...] = ()) -> float:
     """E[fn(mu + sigma Z)], Z standard normal.
 
-    Smooth integrands go through Gauss--Hermite; discontinuous ones through
-    density quadrature with the jump locations passed as exact break points.
+    Smooth integrands go through 64-node Gauss--Hermite; discontinuous ones
+    through density quadrature (tol 1e-10) split at the jump locations.
     """
     if sigma < 0.0:
         raise DomainError(f"sigma must be nonnegative, got {sigma!r}")
     if sigma == 0.0:
         return float(fn(np.float64(mu)))
     if not discontinuous:
-        return gauss_hermite_expect(fn, mu, sigma, order=order)
+        return gauss_hermite_expect(fn, mu, sigma, order=64)
     # integrate fn(mu + sigma x) phi(x) over |x| <= 12, splitting at jumps
     cut = 12.0
     pts = sorted({(j - mu) / sigma for j in jumps if abs((j - mu) / sigma) < cut})
@@ -206,7 +204,7 @@ def gaussian_smooth_F(fn: Callable[[np.ndarray], np.ndarray],
     dens = lambda x: float(fn(np.float64(mu + sigma * x))) * math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     total, pieces = 0.0, len(edges) - 1
     for a, b in zip(edges[:-1], edges[1:]):
-        total += adaptive_quad(dens, a, b, tol=tol / pieces).value
+        total += adaptive_quad(dens, a, b, tol=1e-10 / pieces).value
     return total
 
 

@@ -340,18 +340,17 @@ class CumulativeCurve:
         object.__setattr__(self, "values", values)
 
 
-def cumulative_local_time(path: FbmPath, partition: Partition, a: float, *,
-                          gamma: float = 0.0) -> CumulativeCurve:
-    """Normalized running up-crossing estimate of the local time at a over time.
+def cumulative_local_time(path: FbmPath, partition: Partition, a: float) -> CumulativeCurve:
+    """Normalized running up-crossing estimate (gamma = 0) of the local time at a.
 
     Per-interval crossing contributions accumulate left to right, so the
     curve is nondecreasing by construction.
     """
     _check_one_dim(path)
     i, j = _interval_indices(path, partition)
-    contrib = upcross_germ(a, gamma).evaluate_batch(path, i, j)
-    contrib /= frak_c(path.hurst, gamma)
+    contrib = upcross_germ(a).evaluate_batch(path, i, j)
+    contrib /= frak_c(path.hurst, 0.0)
     values = np.concatenate(([0.0], np.cumsum(contrib)))
     return CumulativeCurve(partition.breakpoints, values, float(a),
-                           f"upcross(gamma={gamma:g})", path.hurst)
+                           "upcross(gamma=0)", path.hurst)
 

@@ -83,14 +83,6 @@ class Partition:
     def min_gap(self) -> float:
         return float(np.diff(self.breakpoints).min())
 
-    @property
-    def lefts(self) -> np.ndarray:
-        return self.breakpoints[:-1]
-
-    @property
-    def rights(self) -> np.ndarray:
-        return self.breakpoints[1:]
-
     def refines(self, coarser: "Partition") -> bool:
         """True when every breakpoint of ``coarser`` appears here exactly."""
         if coarser.horizon != self.horizon:

@@ -127,6 +127,37 @@ def test_sample_rejects_non_finite_values(tmp_path, key, value):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command,key,extra", [
+    ("rate", "a", {"germ": "upcross", "hurst": "0.3", "levels": "3:5",
+                   "replicas": "2"}),
+    ("localtime", "a", {"hurst": "0.3", "grid_exp": "6", "n_levels": "8"}),
+    ("sde", "x0", {"levels": "3:4", "scales": "2:3", "replicas": "1"}),
+    ("sde", "kappa", {"levels": "3:4", "scales": "2:3", "replicas": "1"}),
+    ("sde", "drift_strength", {"case": "c", "levels": "3:4", "scales": "2:3",
+                               "replicas": "1"}),
+], ids=["rate-a", "localtime-a", "sde-x0", "sde-kappa", "sde-drift_strength"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_config_values_exit_two(tmp_path, command, key, extra,
+                                                  value):
+    cfgfile = _write_cfg(tmp_path, "c.cfg", **extra, **{key: value})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfgfile, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_sde_rejects_levels_beyond_the_grid_bound(tmp_path, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the levels check")
+    monkeypatch.setattr(fracsew.fsde, "sample_fbm", no_sampling)
+    cfgfile = _write_cfg(tmp_path, "c.cfg", levels="8:25", scales="2:3",
+                         replicas="1")
+    out = tmp_path / "o"
+    assert main(["sde", "--config", cfgfile, "--out", str(out)]) == 2
+    assert not (out / "thresholds.csv").exists()
+    cfgfile = _write_cfg(tmp_path, "e.cfg", levels="9:8")
+    assert main(["sde", "--config", cfgfile, "--out", str(out)]) == 2
+
+
 def test_sample_rejects_subnormal_step(tmp_path):
     cfgfile = _write_cfg(tmp_path, "c.cfg", hurst="0.3", grid_exp="12",
                          horizon="1e-320")
@@ -194,8 +225,8 @@ def test_localtime_run(tmp_path):
 
 
 def _read_curve(path):
-    from fracsew.csvio import read_curve_csv
-    return read_curve_csv(str(path))
+    table = read_table(str(path))
+    return table.rows[:, 0], table.rows[:, 1], table.meta
 
 
 def test_localtime_partition_gate(tmp_path):

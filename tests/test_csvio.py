@@ -18,8 +18,6 @@ from fracsew.cli import main
 from fracsew.csvio import (
     format_value,
     parse_scalar,
-    read_curve_csv,
-    read_path_csv,
     read_table,
     write_cumulative_csv,
     write_curve_csv,
@@ -100,9 +98,10 @@ def test_path_round_trip(tmp_path):
     p = sample_fbm(FbmConfig(hurst=0.3, grid_n=32, seed=4))
     f = str(tmp_path / "path.csv")
     write_path_csv(f, p, {"note": "unit"})
-    times, values, meta = read_path_csv(f)
-    np.testing.assert_array_equal(times, p.times)
-    np.testing.assert_array_equal(values, p.values)
+    table = read_table(f)
+    meta = table.meta
+    np.testing.assert_array_equal(table.rows[:, 0], p.times)
+    np.testing.assert_array_equal(table.rows[:, 1], p.values)
     assert meta["hurst"] == 0.3
     assert meta["method"] == "circulant"
     assert meta["note"] == "unit"
@@ -112,10 +111,10 @@ def test_vector_path_round_trip(tmp_path):
     p = sample_fbm(FbmConfig(hurst=0.5, grid_n=8, seed=4, dim=2))
     f = str(tmp_path / "path2.csv")
     write_path_csv(f, p)
-    times, values, _ = read_path_csv(f)
-    assert values.shape == (9, 2)
-    np.testing.assert_array_equal(values, p.values)
-    assert read_table(f).columns == ("t", "value0", "value1")
+    table = read_table(f)
+    assert table.rows.shape == (9, 3)
+    np.testing.assert_array_equal(table.rows[:, 1:], p.values)
+    assert table.columns == ("t", "value0", "value1")
 
 
 def test_curve_round_trip(tmp_path):
@@ -124,9 +123,10 @@ def test_curve_round_trip(tmp_path):
                              default_level_grid(p, 31))
     f = str(tmp_path / "curve.csv")
     write_curve_csv(f, curve)
-    levels, values, meta = read_curve_csv(f)
-    np.testing.assert_array_equal(levels, curve.levels)
-    np.testing.assert_array_equal(values, curve.values)
+    table = read_table(f)
+    meta = table.meta
+    np.testing.assert_array_equal(table.rows[:, 0], curve.levels)
+    np.testing.assert_array_equal(table.rows[:, 1], curve.values)
     assert meta["estimator"] == "upcross(gamma=0)"
     assert meta["normalized"] is True
 
@@ -304,6 +304,17 @@ def test_bool_and_integer_arrays_keep_the_cell_rule(tmp_path):
 def test_float_block_must_fit_the_header(tmp_path, block):
     with pytest.raises(ConfigurationError, match="block.csv"):
         write_table(str(tmp_path / "block.csv"), ["a", "b"], block)
+
+
+@pytest.mark.parametrize("rows, bad", [([(1.0,), ("x", 2, 3)], "row 0 (1.0,)"),
+                                       ([("x", 1.0), ("x", 2, 3)], "row 1 ('x', 2, 3)")],
+                         ids=["short", "long"])
+def test_cell_rows_must_fit_the_header(tmp_path, rows, bad):
+    f = tmp_path / "ragged.csv"
+    with pytest.raises(ConfigurationError) as exc:
+        write_table(str(f), ["a", "b"], rows)
+    assert str(exc.value).startswith(f"ragged.csv: {bad} has ")
+    assert not f.exists()
 
 
 def test_zero_row_block_writes_meta_and_header_only(tmp_path):

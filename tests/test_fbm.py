@@ -286,10 +286,9 @@ def test_kernel_cell_weights_zero_for_future_cells():
     assert w[0, 2] == 0.0  # cell (0.5, 1.0) is entirely after t = 0.5
 
 
-def test_indices_of_and_value_at():
+def test_indices_of():
     p = sample_fbm(FbmConfig(hurst=0.5, grid_n=8, seed=1))
     np.testing.assert_array_equal(p.indices_of([0.0, 0.25, 1.0]), [0, 2, 8])
-    assert p.value_at(0.375) == p.values[3]
     with pytest.raises(AlignmentError):
         p.indices_of(0.3)
     with pytest.raises(AlignmentError):

@@ -85,9 +85,6 @@ def test_euler_dimension_checks():
     with pytest.raises(DomainError):
         young_euler_solve(constant_pair(1.0), [0.0, 0.0], p,
                           uniform_partition(1.0, 8))
-    with pytest.raises(ConfigurationError):
-        young_euler_solve(constant_pair(1.0), 0.0, p,
-                          uniform_partition(1.0, 8), method="heun")
     # coefficients outside the batch contract: a scalar drift, a (d,) sigma
     scalar_drift = CoefficientPair(drift=lambda x: 0.0,
                                    diffusion=lambda x: np.eye(1), dim=1)
@@ -131,27 +128,6 @@ def test_geometric_equation_converges_to_closed_form():
     assert rate > 0.3
 
 
-def test_milstein_gates_and_improvement():
-    p = _driver(H=0.75, n=2 ** 8, seed=7)
-    part = dyadic_partition(1.0, 8)
-    with pytest.raises(CapabilityError):
-        young_euler_solve(holder_pair(0.4), 0.1, p, part, method="milstein")
-    p2 = _driver(n=8, dim=2)
-    with pytest.raises(CapabilityError):
-        young_euler_solve(constant_pair(np.eye(2), dim=2), [0.0, 0.0], p2,
-                          uniform_partition(1.0, 8), method="milstein")
-
-    pair = geometric_pair()
-    closed = 0.1 * np.exp(p.values - p.values[0])
-    idx = p.indices_of(part.breakpoints)
-    e_euler = np.max(np.abs(
-        young_euler_solve(pair, 0.1, p, part).values - closed[idx]))
-    e_mil = np.max(np.abs(
-        young_euler_solve(pair, 0.1, p, part, method="milstein").values
-        - closed[idx]))
-    assert e_mil < 0.1 * e_euler
-
-
 def test_batched_solver_matches_public_solver_bitwise():
     pair = geometric_pair()
     drivers = [_driver(n=2 ** 6, seed=s) for s in (1, 2, 3)]
@@ -165,27 +141,22 @@ def test_batched_solver_matches_public_solver_bitwise():
         assert np.array_equal(traj[:, r, 0], sol.values)
 
 
-def _reference_euler(x0, db, dt, milstein):
+def _reference_euler(x0, db, dt):
     """Plain per-step loop of the public solver on dX = X dB (scalar floats)."""
     x = x0
     out = [x]
     for k in range(dt.size):
-        xk = x
-        x = xk + 0.0 * float(dt[k]) + xk * float(db[k])
-        if milstein:
-            x = x + 0.5 * 1.0 * xk * float(db[k]) ** 2
+        x = x + 0.0 * float(dt[k]) + x * float(db[k])
         out.append(x)
     return np.array(out)
 
 
-@pytest.mark.parametrize("method", ["euler", "milstein"])
-def test_geometric_solve_matches_plain_loop_bitwise(method):
+def test_geometric_solve_matches_plain_loop_bitwise():
     d = _driver(n=2 ** 9, seed=4)
     part = dyadic_partition(1.0, 7)
-    sol = young_euler_solve(geometric_pair(), 0.1, d, part, method=method)
+    sol = young_euler_solve(geometric_pair(), 0.1, d, part)
     bvals = d.values[d.indices_of(part.breakpoints)]
-    want = _reference_euler(0.1, np.diff(bvals), np.diff(part.breakpoints),
-                            method == "milstein")
+    want = _reference_euler(0.1, np.diff(bvals), np.diff(part.breakpoints))
     assert np.array_equal(sol.values, want)
 
 
@@ -194,16 +165,19 @@ def test_geometric_solve_matches_plain_loop_bitwise(method):
 
 
 def test_mollify_affine_is_exact():
-    smooth = mollify_coefficient(lambda x: 3.0 * x[..., 0] + 1.0, 0.3)
+    smooth = mollify_coefficient(lambda x: 3.0 * x[..., None] + 1.0, 0.3)
     for v in (-1.0, 0.0, 2.5):
-        assert smooth(np.array([v])) == pytest.approx(3.0 * v + 1.0,
-                                                      abs=1e-12)
+        assert smooth(np.array([v]))[0, 0] == pytest.approx(3.0 * v + 1.0,
+                                                            abs=1e-12)
+    # the one output kind is the (..., d, d) diffusion; a scalar is refused
+    with pytest.raises(CapabilityError, match=r"\(1, 32, 1, 1\)"):
+        mollify_coefficient(lambda x: 3.0 * x[..., 0] + 1.0, 0.3)(np.array([[0.0]]))
 
 
 def test_mollify_quadratic_adds_variance():
-    smooth = mollify_coefficient(lambda x: x[..., 0] ** 2, 0.5)
-    assert smooth(np.array([0.0])) == pytest.approx(0.25, rel=1e-12)
-    assert smooth(np.array([2.0])) == pytest.approx(4.25, rel=1e-12)
+    smooth = mollify_coefficient(lambda x: x[..., None] ** 2, 0.5)
+    assert smooth(np.array([0.0]))[0, 0] == pytest.approx(0.25, rel=1e-12)
+    assert smooth(np.array([2.0]))[0, 0] == pytest.approx(4.25, rel=1e-12)
 
 
 def test_mollify_batch_independence():

@@ -86,12 +86,6 @@ def test_partition_equality_and_hash():
     assert len({a, b, uniform_partition(1.0, 8)}) == 2
 
 
-def test_partition_lefts_rights():
-    p = uniform_partition(1.0, 4)
-    np.testing.assert_array_equal(p.lefts, [0.0, 0.25, 0.5, 0.75])
-    np.testing.assert_array_equal(p.rights, [0.25, 0.5, 0.75, 1.0])
-
-
 def test_refines_requires_same_horizon():
     assert not uniform_partition(2.0, 4).refines(uniform_partition(1.0, 2))
     p = uniform_partition(1.0, 2)
@@ -348,8 +342,7 @@ def test_hand_built_path_holds_read_only_copies(lookups):
 
 
 def _solution_path(a, b):
-    return SolutionPath(times=a, values=b, dim=1, solver="euler",
-                        step_count=4, driver=_bm_path(seed=1))
+    return SolutionPath(times=a, values=b, dim=1, step_count=4)
 
 
 def _curve_from_levels(a, b):
@@ -381,8 +374,8 @@ def test_delta_germ_square_increment():
     path = _bm_path(seed=3)
     sq = Germ(name="sq", batch=lambda p, i, j: (p.values[j] - p.values[i]) ** 2)
     s, u, t = 0.25, 0.5, 0.75
-    want = 2.0 * ((path.value_at(u) - path.value_at(s))
-                  * (path.value_at(t) - path.value_at(u)))
+    bs, bu, bt = path.values[path.indices_of([s, u, t])]
+    want = 2.0 * ((bu - bs) * (bt - bu))
     assert delta_germ(sq, path, s, u, t) == pytest.approx(want, rel=1e-12)
 
 
