@@ -153,11 +153,12 @@ def _parse_level_list(spec: str) -> list[int]:
 
 
 def _grid_levels(spec: str) -> list[int]:
-    """A nonempty level list whose finest level is a valid grid exponent."""
+    """A nonempty level list whose every level is a valid grid exponent."""
     levels = _parse_level_list(spec)
     if not levels:
         raise ConfigurationError("levels list is empty")
-    _check_grid_exp(max(levels), "levels")
+    for level in levels:
+        _check_grid_exp(level, "levels")
     return levels
 
 

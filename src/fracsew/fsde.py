@@ -46,6 +46,9 @@ class CoefficientPair:
 
     Batch contract: for states of shape (..., d), with any leading batch
     axes, ``drift`` returns shape (..., d) and ``diffusion`` (..., d, d).
+    ``drift=None`` means b = 0: the Euler loop then makes no drift call and
+    adds no drift term.  A coefficient may return a view of its input; the
+    loop never writes into a coefficient's input or output.
     One Euler loop steps both :func:`young_euler_solve` and
     :func:`uniqueness_probe`, and raises :class:`CapabilityError` on any
     other output shape.  ``drift_bound`` and
@@ -54,7 +57,7 @@ class CoefficientPair:
     ``grad_holder_delta`` records the Holder exponent of the diffusion's
     gradient when known.
     """
-    drift: Callable[[np.ndarray], np.ndarray]
+    drift: Callable[[np.ndarray], np.ndarray] | None
     diffusion: Callable[[np.ndarray], np.ndarray]
     dim: int = 1
     name: str = ""
@@ -73,7 +76,8 @@ def verify_norm_bounds(pair: CoefficientPair, radius: float = 3.0,
 
     Samples points uniformly in [-radius, radius]^d, estimates
     sup|f| + sup|grad f| by central differences, and compares against the
-    declared bound.  Bounds declared as None are skipped (reported True).
+    declared bound.  Bounds declared as None are skipped (reported True),
+    and a drift of None is the zero function.
     """
     rng = split_seed(seed, 0).generator()
     pts = rng.uniform(-radius, radius, size=(n_points, pair.dim))
@@ -83,6 +87,9 @@ def verify_norm_bounds(pair: CoefficientPair, radius: float = 3.0,
             ("diffusion", pair.diffusion, pair.diffusion_bound, pts.shape + (pair.dim,))):
         if bound is None:
             out[tag] = True
+            continue
+        if fn is None:
+            out[tag] = 0.0 <= bound
             continue
         sup_f = float(np.max(np.abs(_coefficient(fn, pts, shape, tag))))
         sup_g = 0.0
@@ -154,21 +161,36 @@ def _batched_euler(coeffs: CoefficientPair, x0: np.ndarray, dt: np.ndarray,
     """Euler stepping of a state of shape (..., d) on a shared step grid.
 
     x0: (..., d); dt: (N,); db: (N, ..., d), broadcast against the state's
-    batch axes.  Returns (N+1, ..., d).
+    batch axes.  Returns (N+1, ..., d).  Step k reads ``traj[k]`` and
+    writes ``traj[k + 1]`` in place, so the coefficients' inputs and
+    outputs are never written to.
     """
     n_steps = dt.size
     traj = np.empty((n_steps + 1,) + x0.shape)
     traj[0] = x0
-    x = x0
+    drift = coeffs.drift
     sigma_shape = x0.shape + x0.shape[-1:]
     db_col = db[..., None]
+    noise = np.empty(x0.shape + (1,))
+    dx = noise[..., 0]
+    finite = np.empty(x0.shape, dtype=bool)
     for k in range(n_steps):
-        bx = _coefficient(coeffs.drift, x, x0.shape, "drift")
+        x, x_next = traj[k], traj[k + 1]
+        if drift is not None:
+            bx = _coefficient(drift, x, x0.shape, "drift")
         sx = _coefficient(coeffs.diffusion, x, sigma_shape, "diffusion")
-        x = x + bx * dt[k] + (sx @ db_col[k])[..., 0]
-        if not np.isfinite(x).all():
+        np.matmul(sx, db_col[k], out=noise)
+        if drift is None:
+            np.add(x, dx, out=x_next)
+        else:
+            np.multiply(bx, dt[k], out=x_next)
+            np.add(x, x_next, out=x_next)
+            np.add(x_next, dx, out=x_next)
+        # np.count_nonzero has a smaller fixed cost than ndarray.all() on
+        # the small states stepped here
+        np.isfinite(x_next, out=finite)
+        if np.count_nonzero(finite) < finite.size:
             raise NumericalError(f"non-finite state at step {k}", step=k)
-        traj[k + 1] = x
     return traj
 
 
@@ -263,13 +285,7 @@ def builtin_holder_sigma(delta: float, dim: int = 1,
     return sigma
 
 
-def _zero_drift(dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    def drift(x: np.ndarray) -> np.ndarray:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    return drift
-
-
-def bounded_drift(strength: float = 0.5, dim: int = 1) -> Callable[[np.ndarray], np.ndarray]:
+def bounded_drift(strength: float = 0.5) -> Callable[[np.ndarray], np.ndarray]:
     """Componentwise -strength * tanh(x): smooth, bounded, bounded gradient."""
     def drift(x: np.ndarray) -> np.ndarray:
         return -strength * np.tanh(np.asarray(x, dtype=float))
@@ -288,28 +304,24 @@ def constant_pair(matrix, dim: int = 1) -> CoefficientPair:
         return np.broadcast_to(mat, x.shape[:-1] + (dim, dim))
 
     bound = float(np.max(np.abs(mat)))
-    return CoefficientPair(drift=_zero_drift(dim), diffusion=sigma, dim=dim,
+    return CoefficientPair(drift=None, diffusion=sigma, dim=dim,
                            name="constant", drift_bound=0.0,
                            diffusion_bound=bound, grad_holder_delta=None)
 
 
 def geometric_pair() -> CoefficientPair:
     """d=1, zero drift, sigma(x) = x; closed form x0 exp(B_t - B_0)."""
-    eye = np.eye(1)
-
     def sigma(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return x[..., 0][..., None, None] * eye
+        return np.asarray(x, dtype=float)[..., None]
 
-    return CoefficientPair(drift=_zero_drift(1), diffusion=sigma, dim=1,
+    return CoefficientPair(drift=None, diffusion=sigma, dim=1,
                            name="geometric")
 
 
 def holder_pair(delta: float, dim: int = 1, kappa: float = 0.5,
                 drift_strength: float = 0.0) -> CoefficientPair:
     """Built-in test equation: optional bounded drift + the delta-Holder sigma."""
-    drift = (_zero_drift(dim) if drift_strength == 0.0
-             else bounded_drift(drift_strength, dim))
+    drift = None if drift_strength == 0.0 else bounded_drift(drift_strength)
     sigma = builtin_holder_sigma(delta, dim=dim, kappa=kappa)
     return CoefficientPair(
         drift=drift, diffusion=sigma, dim=dim,
@@ -407,6 +419,8 @@ def uniqueness_probe(hurst: float, delta: float, *, x0: float = 0.1,
         raise ConfigurationError("probe needs at least two mesh levels and two scales")
     if sorted(set(levels)) != list(levels):
         raise ConfigurationError(f"mesh levels must be strictly increasing, got {levels!r}")
+    if levels[0] < 1:
+        raise ConfigurationError(f"mesh levels must be at least 1, got {levels!r}")
     if any(s <= 0.0 for s in scales) or sorted(set(scales), reverse=True) != list(scales):
         raise ConfigurationError(f"scales must be positive and strictly decreasing, got {scales!r}")
     replicas = _as_count(replicas, "replicas", 1)

@@ -302,7 +302,9 @@ def test_c10_conditional_expectation_oracle():
 def test_c11_young_sde_rate_and_uniqueness_probe():
     """The Euler scheme converges on the closed-form geometric equation
     (fitted rate >= 0.35 at H=0.75) and the mollification/refinement probe
-    below the strong threshold shows decaying, plateau-free distances."""
+    at delta=0.25 shows decaying, plateau-free distances.  At H=0.75 that
+    delta lies above the strong threshold (0.185) and below the weak (0.263)
+    and Young (0.333) ones."""
     pair = geometric_pair()
     levels = list(range(8, 13))
     errs = np.zeros(len(levels))

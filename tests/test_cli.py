@@ -158,6 +158,28 @@ def test_sde_rejects_levels_beyond_the_grid_bound(tmp_path, monkeypatch):
     assert main(["sde", "--config", cfgfile, "--out", str(out)]) == 2
 
 
+def test_sde_rejects_negative_levels(tmp_path, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the levels check")
+    monkeypatch.setattr(fracsew.fsde, "sample_fbm", no_sampling)
+    cfgfile = _write_cfg(tmp_path, "c.cfg", mode="probe", levels="-2:9",
+                         scales="2:3", replicas="1")
+    out = tmp_path / "o"
+    assert main(["sde", "--config", cfgfile, "--out", str(out)]) == 2
+    assert not (out / "probe.csv").exists()
+
+
+def test_rate_rejects_level_zero(tmp_path, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the levels check")
+    monkeypatch.setattr(fracsew.sewing, "sample_fbm", no_sampling)
+    cfgfile = _write_cfg(tmp_path, "c.cfg", germ="upcross", hurst="0.3",
+                         levels="0:5", replicas="2")
+    out = tmp_path / "o"
+    assert main(["rate", "--config", cfgfile, "--out", str(out)]) == 2
+    assert not (out / "rate.csv").exists()
+
+
 def test_sample_rejects_subnormal_step(tmp_path):
     cfgfile = _write_cfg(tmp_path, "c.cfg", hurst="0.3", grid_exp="12",
                          horizon="1e-320")

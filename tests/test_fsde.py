@@ -28,6 +28,7 @@ from fracsew import (
     verify_norm_bounds,
     young_euler_solve,
 )
+from fracsew import fsde
 from fracsew.fsde import _batched_euler, _radial_bump, builtin_holder_sigma
 
 
@@ -105,11 +106,52 @@ def test_euler_warns_for_rough_driver():
 
 def test_non_finite_state_reported_with_step():
     p = _driver(n=8)
-    bad = CoefficientPair(drift=lambda x: np.full_like(x, np.inf),
-                          diffusion=lambda x: np.eye(1), dim=1)
-    with pytest.raises(NumericalError) as exc:
-        young_euler_solve(bad, 0.0, p, uniform_partition(1.0, 8))
-    assert exc.value.step == 0
+    bad_drift = CoefficientPair(drift=lambda x: np.full_like(x, np.inf),
+                                diffusion=lambda x: np.eye(1), dim=1)
+    # with drift=None the loop adds no drift term; the check still runs
+    bad_sigma = CoefficientPair(drift=None,
+                                diffusion=lambda x: np.full((1, 1), np.inf), dim=1)
+    for bad in (bad_drift, bad_sigma):
+        with pytest.raises(NumericalError) as exc:
+            young_euler_solve(bad, 0.5, p, uniform_partition(1.0, 8))
+        assert exc.value.step == 0
+
+
+def _with_zeros_drift(pair):
+    return replace(pair, drift=lambda x: np.zeros_like(x))
+
+
+@pytest.mark.parametrize("pair", [geometric_pair(), holder_pair(0.25)],
+                         ids=["geometric", "holder"])
+def test_none_drift_steps_like_explicit_zero_drift_bitwise(pair):
+    assert pair.drift is None
+    p = _driver(n=2 ** 9, seed=6)
+    part = dyadic_partition(1.0, 9)
+    sol = young_euler_solve(pair, 0.1, p, part)
+    zero = young_euler_solve(_with_zeros_drift(pair), 0.1, p, part)
+    assert np.array_equal(sol.values, zero.values)
+
+
+def test_none_drift_probe_matches_explicit_zero_drift_bitwise():
+    kw = dict(mesh_levels=(4, 5, 6), scales=(0.25, 0.125), replicas=3, seed=4)
+    pair = holder_pair(0.25)
+    rep = uniqueness_probe(0.75, 0.25, coeffs=pair, **kw)
+    zero = uniqueness_probe(0.75, 0.25, coeffs=_with_zeros_drift(pair), **kw)
+    assert np.array_equal(rep.pair_table, zero.pair_table)
+
+
+def test_constant_d2_solve_matches_plain_matrix_loop_bitwise():
+    mat = np.array([[1.0, 0.3], [-0.2, 0.8]])
+    p = _driver(n=2 ** 7, seed=9, dim=2)
+    part = dyadic_partition(1.0, 6)
+    sol = young_euler_solve(constant_pair(mat, dim=2), [0.1, -0.4], p, part)
+    bvals = p.values[p.indices_of(part.breakpoints)]
+    x = np.array([0.1, -0.4])
+    want = [x]
+    for db in np.diff(bvals, axis=0):
+        x = x + mat @ db
+        want.append(x)
+    assert np.array_equal(sol.values, np.array(want))
 
 
 def test_geometric_equation_converges_to_closed_form():
@@ -325,7 +367,7 @@ def test_holder_pair_metadata():
 
 
 def test_bounded_drift_shape():
-    d = bounded_drift(0.5, dim=2)
+    d = bounded_drift(0.5)
     out = d(np.array([10.0, -10.0]))
     np.testing.assert_allclose(out, [-0.5, 0.5], atol=1e-6)
 
@@ -356,6 +398,12 @@ def test_probe_validation():
     with pytest.raises(CapabilityError):
         uniqueness_probe(0.75, 0.3, coeffs=slow, mesh_levels=(7, 8),
                          scales=(0.25, 0.125))
+
+
+def test_probe_rejects_levels_below_one():
+    for bad in ((0, 1), (-2, -1, 3)):
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            uniqueness_probe(0.75, 0.3, mesh_levels=bad, scales=(0.25, 0.125))
 
 
 def test_probe_constant_coefficients_collapse():
@@ -463,3 +511,27 @@ def test_probe_and_pair_accept_numpy_integers():
     for bad in (True, 1.0, np.int64(0)):
         with pytest.raises(ConfigurationError):
             CoefficientPair(drift=lambda x: x, diffusion=lambda x: x, dim=bad)
+
+
+def test_work_counts_match_the_benchmark_formulas(monkeypatch):
+    """The benchmark expects scales x steps mollified-sigma calls and one
+    Euler step per partition interval; a change that folds either count
+    fails here first."""
+    calls = []
+    mollify = fsde.mollify_coefficient
+
+    def counting_mollify(fn, scale, dim=1):
+        smooth = mollify(fn, scale, dim=dim)
+
+        def counted(x):
+            calls.append(scale)
+            return smooth(x)
+        return counted
+
+    monkeypatch.setattr(fsde, "mollify_coefficient", counting_mollify)
+    uniqueness_probe(0.75, 0.25, mesh_levels=(3, 4, 5),
+                     scales=(0.25, 0.125, 0.0625), replicas=2, seed=1)
+    assert len(calls) == 3 * (8 + 16 + 32)
+    part = dyadic_partition(1.0, 5)
+    sol = young_euler_solve(geometric_pair(), 0.1, _driver(n=2 ** 5), part)
+    assert sol.step_count == part.n_intervals == sol.values.size - 1 == 32
