@@ -419,7 +419,7 @@ def _window_integral(length: float, gap: float, hurst: float, power: int) -> flo
     a = hurst - 0.5
     if gap == 0.0 or a == 0.0:
         return 0.0
-    fn = lambda x: x ** (2 * a) * math.expm1(a * math.log1p(gap / x)) ** power
+    fn = lambda x: x ** (2 * a) * np.expm1(a * np.log1p(gap / x)) ** power
     edges = [0.0, min(gap, length)]
     while edges[-1] < length:
         edges.append(min(4.0 * edges[-1], length))

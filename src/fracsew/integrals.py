@@ -201,7 +201,7 @@ def gaussian_smooth_F(fn: Callable[[np.ndarray], np.ndarray],
     cut = 12.0
     pts = sorted({(j - mu) / sigma for j in jumps if abs((j - mu) / sigma) < cut})
     edges = [-cut, *pts, cut]
-    dens = lambda x: float(fn(np.float64(mu + sigma * x))) * math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    dens = lambda x: fn(mu + sigma * x) * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     total, pieces = 0.0, len(edges) - 1
     for a, b in zip(edges[:-1], edges[1:]):
         total += adaptive_quad(dens, a, b, tol=1e-10 / pieces).value

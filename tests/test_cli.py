@@ -206,16 +206,30 @@ def test_sample_cholesky_failure_exits_three(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "o")]) == 3
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _python_output(code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(fracsew.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fracsew.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, env=env, check=True)
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _python_output(
+        "import sys, fracsew.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_oracle_path_leaves_scipy_unloaded():
+    # the sign integrand takes gaussian_smooth_F's discontinuous branch
+    assert _python_output(
+        "import sys, fracsew as fs\n"
+        "fs.conditional_increment_moments(0.25, 0.5, 0.625, 0.3)\n"
+        "path = fs.sample_fbm(fs.FbmConfig(hurst=0.75, grid_n=64, seed=3),"
+        " method='kernel')\n"
+        "fs.conditional_ito_oracle(fs.get_integrand('sign'), path, 0.25, 0.5, 0.625)\n"
+        "print('scipy' in sys.modules)") == "False"
 
 
 def test_rate_warns_out_of_regime(tmp_path):

@@ -13,6 +13,7 @@ from fracsew import (
     FbmConfig,
     FracsewError,
     NumericalError,
+    QuadResult,
     SeedSpec,
     adaptive_quad,
     beta,
@@ -87,7 +88,8 @@ def test_fbm_cov_rejects_negative_times():
 
 
 def _mvn_kernel(t, s, hurst):
-    """Moving-average kernel K(t, s) = (t-s)_+^(H-1/2) - (-s)_+^(H-1/2).
+    """Moving-average kernel K(t, s) = (t-s)_+^(H-1/2) - (-s)_+^(H-1/2) at
+    an array of s.
 
     A nonpositive base gives 0; at H = 1/2 the kernel is the indicator of
     0 <= s < t.
@@ -95,7 +97,8 @@ def _mvn_kernel(t, s, hurst):
     expo = hurst - 0.5
 
     def pow_plus(x):
-        return (x ** expo if expo else 1.0) if x > 0.0 else 0.0
+        pos = x > 0.0
+        return np.where(pos, np.where(pos, x, 1.0) ** expo, 0.0)
 
     return pow_plus(t - s) - pow_plus(-s)
 
@@ -105,7 +108,11 @@ def test_fbm_cov_against_kernel_quadrature():
     s, t = 0.3, 0.7
     for H, flag in ((0.7, None), (0.25, "upper")):
         f = lambda r: _mvn_kernel(s, r, H) * _mvn_kernel(t, r, H)
-        tail = adaptive_quad(f, -np.inf, 0.0, tol=2e-8).value
+        # r = -u / (1 - u) maps [0, 1) onto (-inf, 0]; the integrand grows
+        # like (1 - u)^(-0.4) at u = 1 for H = 0.7 and like u^(-0.5) at
+        # u = 0 for H = 0.25
+        tail = adaptive_quad(lambda u: f(-u / (1.0 - u)) / (1.0 - u) ** 2,
+                             0.0, 1.0, tol=2e-8, singularity="both").value
         body = adaptive_quad(f, 0.0, s, tol=2e-8, singularity=flag).value
         assert fbm_cov(s, t, H) == pytest.approx(tail + body, abs=1e-6)
 
@@ -400,6 +407,36 @@ def test_conditional_moments_are_a_valid_gaussian(H, v, su, tu):
     assert m.kappa_st_sq >= 0.0
     # Cauchy-Schwarz for the conditional pair
     assert m.rho_st ** 2 <= m.sigma_s_sq * m.sigma_st_sq * (1.0 + 1e-9) + 1e-15
+
+
+def test_conditional_moments_agree_with_quadpack(monkeypatch):
+    """The panel rule against QUADPACK (scipy, a reference only) over c10's
+    ranges at 2^9."""
+    integrate = pytest.importorskip("scipy.integrate")
+
+    def quadpack(fn, a, b, tol=1e-10, singularity=None):
+        # QUADPACK on r = a + u^2 at a flagged lower end, the only flag used
+        assert singularity in (None, "lower")
+        if singularity == "lower":
+            g, lo, hi = (lambda u: 2.0 * u * fn(a + u * u)), 0.0, math.sqrt(b - a)
+        else:
+            g, lo, hi = fn, a, b
+        return QuadResult(*integrate.quad(g, lo, hi, epsabs=0.25 * tol,
+                                          epsrel=1e-12, limit=400)[:2])
+
+    n = 2 ** 9
+    rng = np.random.default_rng(10)
+    for H in (0.1, 0.3, 0.75, 0.9):
+        for _ in range(100):
+            iv = int(rng.integers(n // 8, n // 3))
+            isv = iv + int(rng.integers(n // 16, n // 4))
+            it = isv + int(rng.integers(1, n // 8))
+            got = conditional_increment_moments(iv / n, isv / n, it / n, H)
+            with monkeypatch.context() as m:
+                m.setattr(fracsew.fbm, "adaptive_quad", quadpack)
+                want = conditional_increment_moments(iv / n, isv / n, it / n, H)
+            for name in ("rho_st", "sigma_st_sq", "kappa_st_sq"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-11)
 
 
 def test_kernel_correlation_degenerate_and_domain():

@@ -50,7 +50,7 @@ def _frak_c_quadrature(hurst, gamma):
     sd = math.sqrt(c_h(hurst))
 
     def dens(x):
-        return x ** (1.0 + gamma) * math.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+        return x ** (1.0 + gamma) * np.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
 
     return adaptive_quad(dens, 0.0, 40.0 * sd, tol=1e-12, singularity="lower").value
 

@@ -46,7 +46,7 @@ def test_normal_abs_moment_quadrature_route():
     # independent check: integrate |x|^q phi(x) directly
     q = 1.0 / 0.3
     quad = adaptive_quad(
-        lambda x: 2.0 * x ** q * math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
+        lambda x: 2.0 * x ** q * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
         0.0, 40.0, tol=1e-11)
     assert normal_abs_moment(q) == pytest.approx(quad.value, rel=1e-9)
 
@@ -89,7 +89,7 @@ def test_gauss_hermite_order_validation():
 
 
 def test_adaptive_quad_smooth():
-    res = adaptive_quad(math.sin, 0.0, math.pi, tol=1e-12)
+    res = adaptive_quad(np.sin, 0.0, math.pi, tol=1e-12)
     assert res.value == pytest.approx(2.0, abs=1e-12)
     assert res.error < 1e-12
 
@@ -112,19 +112,64 @@ def test_adaptive_quad_both_endpoints():
 
 
 def test_adaptive_quad_empty_interval():
-    assert adaptive_quad(math.sin, 1.0, 1.0) == (0.0, 0.0)
+    assert adaptive_quad(np.sin, 1.0, 1.0) == (0.0, 0.0)
 
 
 def test_adaptive_quad_rejects_reversed_interval():
     with pytest.raises(DomainError):
-        adaptive_quad(math.sin, 1.0, 0.0)
+        adaptive_quad(np.sin, 1.0, 0.0)
     with pytest.raises(ConfigurationError):
-        adaptive_quad(math.sin, 0.0, 1.0, singularity="sideways")
+        adaptive_quad(np.sin, 0.0, 1.0, singularity="sideways")
+
+
+def test_adaptive_quad_rejects_non_finite_limits():
+    for a, b in ((0.0, math.nan), (math.nan, 0.0), (-math.inf, 0.0), (0.0, math.inf)):
+        with pytest.raises(DomainError):
+            adaptive_quad(np.sin, a, b)
+
+
+def test_adaptive_quad_needs_a_vectorized_function():
+    sizes = []
+
+    def sin(x):
+        sizes.append(x.shape)
+        return np.sin(x)
+
+    # one round: the 15 + 10 nodes of the single panel in one call
+    adaptive_quad(sin, 0.0, 1.0, tol=1e-12)
+    assert sizes == [(25,)]
+    with pytest.raises(CapabilityError):
+        adaptive_quad(lambda x: 1.0, 0.0, 1.0)
+    with pytest.raises(TypeError):
+        adaptive_quad(math.sin, 0.0, 1.0)
+
+
+def test_adaptive_quad_strong_lower_singularity():
+    # u^(-0.6) after r = u^2: the panel at u = 0 is graded again
+    res = adaptive_quad(lambda x: x ** -0.8, 0.0, 1.0, tol=1e-10, singularity="lower")
+    assert res.value == pytest.approx(5.0, abs=1e-10)
+
+
+def test_adaptive_quad_upper_end_away_from_zero():
+    seen = []
+
+    def f(x):
+        seen.append(x.max())
+        return (3.0 - x) ** -0.5
+
+    res = adaptive_quad(f, 2.0, 3.0, tol=1e-10, singularity="upper")
+    assert res.value == pytest.approx(2.0, abs=1e-10)
+    assert max(seen) < 3.0
+    # about 3e-3 of this integral lies where 1 - r is below double
+    # resolution, so the tolerance cannot be certified
+    with pytest.raises(AccuracyError):
+        adaptive_quad(lambda x: (1.0 - x) ** -0.8, 0.0, 1.0, tol=1e-10,
+                      singularity="upper")
 
 
 def test_adaptive_quad_unattainable_tolerance():
     with pytest.raises(AccuracyError) as exc:
-        adaptive_quad(math.sin, 0.0, math.pi, tol=1e-18)
+        adaptive_quad(np.sin, 0.0, math.pi, tol=1e-18)
     assert exc.value.estimate == pytest.approx(2.0, rel=1e-10)
     assert exc.value.error_bound > 1e-18
 
