@@ -14,14 +14,13 @@ variance at unit lag, half a Gaussian absolute moment.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AlignmentError, ConfigurationError, DomainError
 from .fbm import FbmPath, _read_only, c_h
-from .numerics import _as_count, normal_abs_moment
+from .numerics import _as_count, _exact_sum, normal_abs_moment
 from .sewing import Germ, Partition, _interval_indices, riemann_sum
 
 __all__ = [
@@ -166,7 +165,7 @@ def occupation_density_estimator(path: FbmPath, a: float,
         raise DomainError("occupation estimator is one-dimensional")
     dt = np.diff(path.times)
     inside = np.abs(path.values[:-1] - a) <= bandwidth
-    return math.fsum(dt[inside].tolist()) / (2.0 * bandwidth)
+    return _exact_sum(dt[inside]) / (2.0 * bandwidth)
 
 
 def default_bandwidth(path: FbmPath) -> float:
@@ -247,7 +246,7 @@ def _crossing_curve_values(low, high, dt, hurst, gamma, levels):
 def _excess_at(left, right, a, p):
     """|B_t - a|^p summed over the intervals with B_s < a < B_t."""
     mask = (left < a) & (a < right)
-    return math.fsum((np.abs(right[mask] - a) ** p).tolist())
+    return _exact_sum(np.abs(right[mask] - a) ** p)
 
 
 def _excess_curve_values(left, right, hurst, levels):

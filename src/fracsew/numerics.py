@@ -3,8 +3,8 @@
 Nothing in this module knows about stochastic processes.  It provides the
 beta function and Gaussian absolute moments (closed forms over the stdlib's
 gamma functions), Gaussian-expectation quadrature, adaptive integration,
-Monte Carlo norm reductions and deterministic stream splitting that the rest
-of the toolkit treats as solved problems.
+correctly rounded summation, Monte Carlo norm reductions and deterministic
+stream splitting that the rest of the toolkit treats as solved problems.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from .errors import (AccuracyError, CapabilityError, ConfigurationError,
-                     DomainError)
+                     DomainError, NumericalError)
 
 __all__ = [
     "beta",
@@ -250,6 +250,47 @@ def adaptive_quad(fn: Callable[[np.ndarray], np.ndarray],
     return QuadResult(total, abserr)
 
 
+# arrays of at most this many values go to math.fsum, which is faster than
+# the fixed numpy cost of the vectorized passes there
+_FSUM_MAX_N = 384
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """Correctly rounded sum of a 1-D float array: the float math.fsum gives.
+
+    Error-free vector extraction (Rump, Ogita and Oishi, "Accurate
+    floating-point summation part I: faithful rounding", SIAM J. Sci.
+    Comput. 31, 2008).  With |p| < 2^e and 2^k >= n + 2, sigma = 2^(e+k)
+    splits p exactly into q = (sigma + p) - sigma, whose entries lie on the
+    grid sigma 2^-53 and so sum exactly in any order, and p - q, below
+    2^(e+k-53).  Each pass keeps one exact partial sum and lowers e by
+    53 - k; once the residual is all zero the partial sums add up exactly
+    to the input's sum, and math.fsum rounds them correctly.
+
+    Up to ``_FSUM_MAX_N`` values, non-finite values, values above 2^900
+    and residuals below 2^-960 go to math.fsum on the input, with its
+    results and its exceptions.
+    """
+    x = np.asarray(values, dtype=float)
+    n = x.size
+    top = float(np.abs(x).max()) if n > _FSUM_MAX_N else math.nan
+    if not 0.0 < top <= 2.0 ** 900:
+        return math.fsum(x.tolist())
+    k = (n + 1).bit_length()    # 2^k >= n + 2
+    e = math.frexp(top)[1]      # top < 2^e
+    partials = []
+    p = x
+    while e + k >= -960:
+        sigma = math.ldexp(1.0, e + k)
+        q = (sigma + p) - sigma
+        partials.append(float(np.add.reduce(q)))
+        p = p - q
+        if not p.any():
+            return math.fsum(partials)
+        e += k - 53
+    return math.fsum(x.tolist())
+
+
 @dataclass(frozen=True)
 class McEstimate:
     """A Monte Carlo estimate with its standard error.
@@ -273,19 +314,24 @@ def mc_lm_norm(samples: Sequence[float] | np.ndarray, m: float) -> McEstimate:
     """Empirical L_m norm (mean |x|^m)^(1/m) with a delta-method stderr.
 
     m = 2 is computed as a plain root-mean-square (x*x, not |x|**2.0) so that
-    centered second moments take the exact RMS path.
+    centered second moments take the exact RMS path.  Raises
+    :class:`NumericalError` when the mean of |x|^m underflows to 0 on a
+    sample that is not all zero, or when the mean or the norm is not finite.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise DomainError("mc_lm_norm requires a nonempty sample")
     if not m >= 1.0:
         raise DomainError(f"mc_lm_norm requires m >= 1, got {m!r}")
-    if m == 2.0:
-        y = x * x
-    else:
-        y = np.abs(x) ** m
+    with np.errstate(over="ignore"):
+        y = x * x if m == 2.0 else np.abs(x) ** m
     mu = float(y.mean())
     value = math.sqrt(mu) if m == 2.0 else mu ** (1.0 / m)
+    if not math.isfinite(value):
+        raise NumericalError(f"the mean of |x|^{m:g} is {mu!r}, not finite")
+    if mu == 0.0 and x.any():
+        raise NumericalError(
+            f"the mean of |x|^{m:g} underflows to 0 on a sample that is not all zero")
     if x.size < 2 or mu == 0.0:
         stderr = 0.0
     else:

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import (AlignmentError, ConfigurationError, DomainError,
                      FracsewError, RegimeWarning)
 from .fbm import FbmConfig, FbmPath, sample_fbm
-from .numerics import McEstimate, _as_count, mc_lm_norm, mc_mean, split_seed
+from .numerics import (McEstimate, _as_count, _exact_sum, mc_lm_norm, mc_mean,
+                       split_seed)
 
 __all__ = [
     "Partition",
@@ -224,11 +225,14 @@ def riemann_sum(germ: Germ, path: FbmPath, partition: Partition) -> float:
     """Sum of the germ over consecutive partition intervals.
 
     The germ is evaluated on the :func:`_interval_indices` of the partition.
-    Accumulation is compensated (correctly-rounded) in breakpoint order, so
-    the result does not depend on evaluation batching.
+    The sum is correctly rounded, so it depends neither on the order of the
+    intervals nor on evaluation batching: :func:`numerics._exact_sum` splits
+    the values by Rump, Ogita and Oishi's error-free vector extraction
+    (SIAM J. Sci. Comput. 31, 2008) into partial sums that are exact in any
+    order, and returns the same float as the stdlib's ``fsum`` of the values.
     """
     i, j = _interval_indices(path, partition)
-    return math.fsum(germ.evaluate_batch(path, i, j).tolist())
+    return _exact_sum(germ.evaluate_batch(path, i, j))
 
 
 def delta_germ(germ: Germ, path: FbmPath, s: float, u: float, t: float) -> float:

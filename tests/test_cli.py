@@ -295,6 +295,19 @@ def test_rate_variation_brownian(tmp_path):
     assert (out / "rate.svg").exists()
 
 
+@pytest.mark.parametrize("settings", [
+    # (1e-2)^400 underflows: the L_400 norms read 0 on nonzero distances
+    {"germ": "ito:sign", "hurst": "0.75", "m": "400"},
+    # distances ~1e5 on a horizon of 1e6: |x|^200 overflows
+    {"germ": "ito:identity", "hurst": "0.75", "horizon": "1e6", "m": "200"},
+], ids=["underflow", "overflow"])
+def test_rate_exits_3_when_the_lm_norm_leaves_double_range(tmp_path, settings):
+    cfgfile = _write_cfg(tmp_path, "c.cfg", levels="6:9", replicas="8", **settings)
+    out = tmp_path / "o"
+    assert main(["rate", "--config", cfgfile, "--out", str(out)]) == 3
+    assert not (out / "rate.csv").exists()
+
+
 def test_rate_unknown_germ(tmp_path):
     cfgfile = _write_cfg(tmp_path, "c.cfg", germ="magic", hurst="0.5")
     assert main(["rate", "--config", cfgfile,

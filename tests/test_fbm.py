@@ -206,6 +206,24 @@ def test_circulant_components_use_consecutive_blocks():
     np.testing.assert_allclose(np.diff(p.values, axis=0), (z @ Lt).T, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [64, 4096])
+def test_irfft_of_a_block_is_its_rows_bit_for_bit(n):
+    """A draw of R replicas in one irfft over an (R, n+1) block of
+    half-spectra gives each replica the bits of its own one-row call, as a
+    1-D row and as a (1, n+1) slice.  R = 7 covers whole and partial
+    groups of rows if the FFT works on several rows at once."""
+    R = 7
+    rng = np.random.default_rng(n)
+    h = np.zeros((R, n + 1), dtype=complex)
+    h.real = rng.standard_normal((R, n + 1))
+    h.imag[:, 1:n] = rng.standard_normal((R, n - 1))
+    h *= _circulant_weights(0.75, n, 1.0 / n)
+    block = np.fft.irfft(h, 2 * n, axis=-1)
+    for r in range(R):
+        assert block[r].tobytes() == np.fft.irfft(h[r], 2 * n).tobytes()
+        assert block[r].tobytes() == np.fft.irfft(h[r:r + 1], 2 * n, axis=-1).tobytes()
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("var0", [0.0, 0.5])
 def test_cholesky_matches_per_column_reference_bit_for_bit(dim, var0):

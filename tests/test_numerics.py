@@ -11,6 +11,7 @@ from fracsew import (
     ConfigurationError,
     DomainError,
     McEstimate,
+    NumericalError,
     SeedSpec,
     adaptive_quad,
     as_seed_spec,
@@ -21,6 +22,8 @@ from fracsew import (
     normal_abs_moment,
     split_seed,
 )
+from fracsew import numerics
+from fracsew.numerics import _exact_sum
 
 
 @given(st.floats(0.05, 50.0), st.floats(0.05, 50.0))
@@ -202,6 +205,26 @@ def test_mc_lm_norm_validation():
         mc_lm_norm([1.0], 0.5)
 
 
+def test_mc_lm_norm_raises_when_the_mean_underflows():
+    """(1e-2)^400 underflows: the mean of |x|^m is 0 on nonzero samples."""
+    with pytest.raises(NumericalError, match="underflows"):
+        mc_lm_norm([0.01, -0.02, 0.005], 400.0)
+    # an all-zero sample is an exact zero, not an underflow
+    est = mc_lm_norm(np.zeros(4), 400.0)
+    assert est.value == 0.0 and est.stderr == 0.0
+
+
+@pytest.mark.parametrize("samples, m", [
+    ([1e200, 1.0], 2.0),          # x*x overflows
+    ([3e10, -1.0], 40.0),         # |x|^m overflows
+    ([1.0, math.nan], 2.0),
+    ([1.0, math.inf], 3.0),
+])
+def test_mc_lm_norm_raises_on_a_non_finite_mean(samples, m):
+    with pytest.raises(NumericalError, match="not finite"):
+        mc_lm_norm(samples, m)
+
+
 def test_mc_mean_tag():
     est = mc_mean([1.0, 2.0, 3.0])
     assert est.value == 2.0
@@ -257,3 +280,108 @@ def test_split_streams_look_uniform():
     counts, _ = np.histogram(firsts, bins=10, range=(0.0, 1.0))
     chi2 = ((counts - 200.0) ** 2 / 200.0).sum()
     assert chi2 < 33.7  # chi-square(9) at ~1e-4
+
+
+# ---------------------------------------------------------------------------
+# correctly rounded summation
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _summands(rng, kind: str, n: int) -> np.ndarray:
+    if kind == "normal":
+        return rng.standard_normal(n)
+    if kind == "positive":      # one sign near the max: sum(q) near n 2^e
+        return rng.uniform(0.5, 1.0, n) * 2.0 ** int(rng.integers(-20, 20))
+    if kind == "spread":        # +-300 decades: tails end below the guard
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+    if kind == "spread250":     # +-250 decades: ~40 vectorized passes
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-250, 250, n)
+    if kind == "cancel":        # pairs x, -x: the exact sum is 0
+        half = rng.standard_normal(n // 2) * 10.0 ** rng.uniform(-30, 30, n // 2)
+        return rng.permutation(np.concatenate([half, -half, np.zeros(n % 2)]))
+    if kind == "tie":           # base + half an ulp of it, plus pairs x, -x
+        base = rng.choice([1.0, 1.0 + 2.0 ** -52, -3.0, 2.0 ** 60])
+        pairs, odd = divmod(max(n - 2, 0), 2)
+        half = rng.standard_normal(pairs) * 10.0 ** rng.uniform(-5, 5, pairs)
+        head = [base, rng.choice([1.0, -1.0]) * math.ulp(base) / 2]
+        tail = np.zeros(odd)
+        return rng.permutation(np.concatenate([head, half, -half, tail]))[:n]
+    if kind == "subnormal":
+        return rng.integers(-2 ** 40, 2 ** 40, n) * 5e-324
+    if kind == "ints":          # a coarse grid: one pass leaves no residual
+        return rng.integers(-10, 10, n) * 2.0 ** int(rng.integers(-60, 60))
+    raise AssertionError(kind)
+
+
+_CROSSOVER = numerics._FSUM_MAX_N
+
+
+_KINDS = ["normal", "positive", "spread", "spread250", "cancel", "tie", "subnormal",
+          "ints"]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_exact_sum_is_fsum_bit_for_bit(kind):
+    rng = np.random.default_rng(_KINDS.index(kind))
+    sizes = [1, 2, 3, _CROSSOVER, _CROSSOVER + 1, 1000, 5000]
+    sizes += rng.integers(1, 5001, 18).tolist()
+    for n in sizes:
+        a = _summands(rng, kind, n)
+        assert _bits(_exact_sum(a)) == _bits(math.fsum(a.tolist())), (kind, n)
+
+
+@pytest.mark.parametrize("a", [
+    [0.0], [-0.0], [-0.0] * 1000, [0.0, -0.0] * 600, [1.0, -1.0, -0.0] * 400,
+    [2.0 ** -1074, -(2.0 ** -1074)] * 300, [1e-310] * 999,
+], ids=["+0", "-0", "-0*1000", "+-0*1200", "cancel", "subnormal-cancel", "subnormal"])
+def test_exact_sum_zeros_and_subnormals_match_fsum(a):
+    assert _bits(_exact_sum(np.array(a))) == _bits(math.fsum(a))
+
+
+@pytest.mark.parametrize("n", [3, 1000])
+@pytest.mark.parametrize("extra", [
+    [math.inf], [-math.inf], [-math.inf, math.inf], [math.nan],
+    [1e308, 1e308], [math.inf, 1e308, 1e308], [2.0 ** 901],
+], ids=["inf", "-inf", "-inf+inf", "nan", "overflow", "inf+overflow", "big"])
+def test_exact_sum_non_finite_and_overflow_follow_fsum(n, extra):
+    a = np.concatenate([np.linspace(-1.0, 2.0, n), extra])
+    try:
+        want = math.fsum(a.tolist())
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            _exact_sum(a)
+        return
+    got = _exact_sum(a)
+    assert _bits(got) == _bits(want) or (math.isnan(got) and math.isnan(want))
+
+
+class _FsumLog:
+    """Stands in for the math module and logs each fsum call's length."""
+
+    def __init__(self) -> None:
+        self.lengths: list[int] = []
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, values):
+        values = list(values)
+        self.lengths.append(len(values))
+        return math.fsum(values)
+
+
+def test_exact_sum_uses_fsum_only_up_to_the_crossover(monkeypatch):
+    log = _FsumLog()
+    monkeypatch.setattr(numerics, "math", log)
+    rng = np.random.default_rng(11)
+    small = rng.standard_normal(_CROSSOVER)
+    assert _exact_sum(small) == math.fsum(small.tolist())
+    assert log.lengths == [_CROSSOVER]
+    log.lengths.clear()
+    large = rng.standard_normal(4096)
+    assert _exact_sum(large) == math.fsum(large.tolist())
+    # fsum only rounds the handful of exact partial sums
+    assert len(log.lengths) == 1 and 1 <= log.lengths[0] <= 3

@@ -284,6 +284,24 @@ def test_riemann_sum_on_shared_grid_matches_uncached_reference(lookups):
     assert len(lookups) == 2 * len(levels)
 
 
+def test_riemann_sum_above_the_fsum_crossover_matches_fsum():
+    """Sums of 2^9 to 2^12 intervals take the vectorized exact summation;
+    each equals math.fsum of the germ values bit for bit."""
+    config = FbmConfig(hurst=0.75, grid_n=2 ** 12)
+    germs = [ito_germ(get_integrand("sign"), 0.75),
+             ito_germ(get_integrand("identity"), 0.75),
+             Germ("spread", lambda path, i, j: (path.values[j] - path.values[i])
+                  * 10.0 ** (40.0 * np.sin(7.0 * i)))]
+    for seed in (1, 2):
+        path = sample_fbm(replace(config, seed=seed))
+        for germ in germs:
+            for level in (9, 10, 11, 12):
+                part = dyadic_partition(1.0, level)
+                want = _uncached_sum(germ, path, part)
+                got = riemann_sum(germ, path, part)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_equal_partitions_give_equal_sums(lookups):
     path = _bm_path(seed=5)
     germ = ito_germ(get_integrand("sign"), 0.5)
