@@ -293,10 +293,9 @@ def _resolve_germ(cfg: dict) -> Germ:
         p = cfg.get("p", 1.0 / hurst)
         return variation_germ(p)
     if spec == "additive":
-        return Germ(name="additive",
-                    batch=lambda path, i, j: path.times[j] - path.times[i])
+        return Germ(name="additive", batch=lambda dt, bs, bt: dt)
     if spec == "upcross":
-        return upcross_germ(cfg["a"], cfg["gamma"])
+        return upcross_germ(cfg["a"], hurst, cfg["gamma"])
     if spec.startswith("ito:"):
         return ito_germ(get_integrand(spec.split(":", 1)[1]), hurst)
     if spec.startswith("strat:"):

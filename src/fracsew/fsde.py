@@ -20,7 +20,7 @@ from .errors import (CapabilityError, ConfigurationError, DomainError,
                      NumericalError, RegimeWarning)
 from .fbm import FbmConfig, FbmPath, _read_only, sample_fbm
 from .numerics import _as_count, _hermite_rule, split_seed
-from .sewing import Partition, _interval_indices
+from .sewing import Partition, _interval_values
 
 __all__ = [
     "CoefficientPair",
@@ -138,8 +138,8 @@ def young_euler_solve(coeffs: CoefficientPair, x0, driver: FbmPath,
     if driver.hurst <= 0.5:
         warnings.warn("young_euler_solve outside its guaranteed regime for "
                       f"hurst={driver.hurst}", RegimeWarning, stacklevel=2)
-    i, j = _interval_indices(driver, partition)
-    db = (driver.values[j] - driver.values[i]).reshape(i.size, driver.dim)
+    _, bs, bt = _interval_values(driver, partition)
+    db = (bt - bs).reshape(partition.n_intervals, driver.dim)
     out = _batched_euler(coeffs, _as_state(x0, coeffs.dim), np.diff(partition.breakpoints), db)
     values = out[:, 0] if coeffs.dim == 1 else out
     return SolutionPath(times=partition.breakpoints, values=values,

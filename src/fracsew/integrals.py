@@ -149,7 +149,7 @@ def stratonovich_trapezoid_sum(f: IntegrandSpec, path: FbmPath,
 
 def variation_sum(path: FbmPath, partition: Partition, p: float) -> float:
     """Power-variation sum: sum of |B_t - B_s|^p over partition intervals."""
-    return riemann_sum(variation_germ(p), path, partition)
+    return riemann_sum(variation_germ(p, path.dim), path, partition)
 
 
 def variation_reference(hurst: float, horizon: float) -> float:
@@ -296,21 +296,24 @@ def conditional_mc_check(f: IntegrandSpec, path: FbmPath,
 # germ adapters for the convergence-rate harness
 
 
-def _dot(fv: np.ndarray, inc: np.ndarray, dim: int) -> np.ndarray:
-    return fv * inc if dim == 1 else np.sum(fv * inc, axis=1)
+# germs of a scalar path multiply elementwise, so they broadcast in every
+# axis; those of a path of dimension d > 1 reduce the trailing state axis
+def _dot(fv: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    return np.sum(fv * inc, axis=-1)
 
 
 def ito_germ(f: IntegrandSpec, hurst: float | None = None) -> Germ:
-    """Left-point germ f(B_s)(B_t - B_s) for the rate harness (scalar f).
+    """Left-point germ f(B_s)(B_t - B_s) for the rate harness.
 
     When the driver's hurst index is supplied, the germ carries the size /
     coherence exponents of the left-point scheme for a bounded integrand
     (size hurst, coherence 2*hurst conditionally and hurst in moments);
     these satisfy the harness inequalities exactly when hurst > 1/2.
     """
-    def batch(path: FbmPath, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        bs, bt = path.values[i], path.values[j]
-        return _dot(np.asarray(f.fn(bs), dtype=float), bt - bs, path.dim)
+    product = np.multiply if f.dim == 1 else _dot
+
+    def batch(dt: np.ndarray, bs: np.ndarray, bt: np.ndarray) -> np.ndarray:
+        return product(np.asarray(f.fn(bs), dtype=float), bt - bs)
 
     expo = None
     if hurst is not None:
@@ -325,11 +328,12 @@ def stratonovich_germ(f: IntegrandSpec, hurst: float | None = None) -> Germ:
     With a hurst index and a holder-type integrand of exponent gamma the
     germ carries size hurst and coherence (1+gamma)*hurst exponents.
     """
-    def batch(path: FbmPath, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        bs, bt = path.values[i], path.values[j]
+    product = np.multiply if f.dim == 1 else _dot
+
+    def batch(dt: np.ndarray, bs: np.ndarray, bt: np.ndarray) -> np.ndarray:
         fv = 0.5 * (np.asarray(f.fn(bs), dtype=float)
                     + np.asarray(f.fn(bt), dtype=float))
-        return _dot(fv, bt - bs, path.dim)
+        return product(fv, bt - bs)
 
     expo = None
     if hurst is not None:
@@ -339,15 +343,15 @@ def stratonovich_germ(f: IntegrandSpec, hurst: float | None = None) -> Germ:
     return Germ(name=f"strat[{f.name}]", batch=batch, exponents=expo)
 
 
-def variation_germ(p: float) -> Germ:
-    """Power-variation germ |B_t - B_s|^p for the rate harness."""
+def variation_germ(p: float, dim: int = 1) -> Germ:
+    """Power-variation germ |B_t - B_s|^p of a ``dim``-dimensional path."""
     if not p > 0.0:
         raise DomainError(f"variation order must be positive, got {p!r}")
+    dim = _as_count(dim, "dim", 1)
 
-    def batch(path: FbmPath, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        bs, bt = path.values[i], path.values[j]
+    def batch(dt: np.ndarray, bs: np.ndarray, bt: np.ndarray) -> np.ndarray:
         inc = bt - bs
-        mag = np.abs(inc) if path.dim == 1 else np.sqrt(np.sum(inc * inc, axis=1))
+        mag = np.abs(inc) if dim == 1 else np.sqrt(_dot(inc, inc))
         return mag ** p
 
     return Germ(name=f"variation[p={p:g}]", batch=batch)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import AlignmentError, ConfigurationError, DomainError
 from .fbm import FbmPath, _read_only, c_h
 from .numerics import _as_count, _exact_sum, normal_abs_moment
-from .sewing import Germ, Partition, _interval_indices, riemann_sum
+from .sewing import Germ, Partition, _interval_values, riemann_sum
 
 __all__ = [
     "frak_c",
@@ -72,13 +72,6 @@ def _check_one_dim(path: FbmPath) -> None:
         raise DomainError("crossing estimators are one-dimensional")
 
 
-def _crossing_arrays(path: FbmPath, partition: Partition):
-    _check_one_dim(path)
-    i, j = _interval_indices(path, partition)
-    # the grid times' differences, as the crossing germ takes them
-    return path.values[i], path.values[j], path.times[j] - path.times[i]
-
-
 def _crossing_weight(dt: np.ndarray, inc: np.ndarray, hurst: float,
                      gamma: float) -> np.ndarray:
     """(t-s)^(1-(1+gamma)H) |B_t - B_s|^gamma for each crossing interval."""
@@ -88,22 +81,21 @@ def _crossing_weight(dt: np.ndarray, inc: np.ndarray, hurst: float,
     return w
 
 
-def upcross_germ(a: float, gamma: float = 0.0) -> Germ:
-    """Up-crossing germ at level a; the convergence-rate harness sums it.
+def upcross_germ(a: float, hurst: float, gamma: float = 0.0) -> Germ:
+    """Up-crossing germ at level a for a driver of index ``hurst``.
 
     Per interval: (t-s)^(1-(1+gamma)H) |B_t - B_s|^gamma on up-crossings of
-    a (B_s < a < B_t), zero elsewhere.  Its :func:`riemann_sum` is
-    :func:`upcrossing_sum`.
+    a (B_s < a < B_t), zero elsewhere; the weights are computed on the
+    up-crossings only.  Its :func:`riemann_sum` is :func:`upcrossing_sum`.
     """
     if not gamma >= 0.0:
         raise DomainError(f"gamma must be nonnegative, got {gamma!r}")
 
-    def batch(path: FbmPath, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        bs, bt = path.values[i], path.values[j]
+    def batch(dt: np.ndarray, bs: np.ndarray, bt: np.ndarray) -> np.ndarray:
+        dt, bs, bt = np.broadcast_arrays(dt, bs, bt)
         mask = (bs < a) & (a < bt)
-        out = np.zeros(len(i))
-        out[mask] = _crossing_weight(path.times[j[mask]] - path.times[i[mask]],
-                                     bt[mask] - bs[mask], path.hurst, gamma)
+        out = np.zeros(mask.shape)
+        out[mask] = _crossing_weight(dt[mask], bt[mask] - bs[mask], hurst, gamma)
         return out
 
     return Germ(name=f"upcross[a={a:g},gamma={gamma:g}]", batch=batch)
@@ -119,7 +111,7 @@ def upcrossing_sum(path: FbmPath, partition: Partition, a: float,
     time at a.
     """
     _check_one_dim(path)
-    return riemann_sum(upcross_germ(a, gamma), path, partition)
+    return riemann_sum(upcross_germ(a, path.hurst, gamma), path, partition)
 
 
 def crossing_count_estimator(path: FbmPath, n: int, a: float) -> float:
@@ -148,7 +140,8 @@ def upcrossing_excess_sum(path: FbmPath, partition: Partition, a: float) -> floa
 
     Dividing by H frak_c(H, 1/H - 1) estimates the local time at a.
     """
-    left, right, _ = _crossing_arrays(path, partition)
+    _check_one_dim(path)
+    _, left, right = _interval_values(path, partition)
     return _excess_at(left, right, a, 1.0 / path.hurst - 1.0)
 
 
@@ -297,7 +290,7 @@ def local_time_curve(path: FbmPath, partition: Partition, estimator: str,
         return LocalTimeCurve(levels, values, f"occupation(bw={bw:.6g})", H,
                               path.grid_n, path.horizon, normalized)
 
-    left, right, dt = _crossing_arrays(path, partition)
+    dt, left, right = _interval_values(path, partition)
     if estimator == "upcross":
         values = _crossing_curve_values(left, right, dt, H, gamma, levels)
         scale = frak_c(H, gamma) if normalized else 1.0
@@ -346,8 +339,8 @@ def cumulative_local_time(path: FbmPath, partition: Partition, a: float) -> Cumu
     curve is nondecreasing by construction.
     """
     _check_one_dim(path)
-    i, j = _interval_indices(path, partition)
-    contrib = upcross_germ(a).evaluate_batch(path, i, j)
+    contrib = upcross_germ(a, path.hurst).evaluate_batch(
+        *_interval_values(path, partition))
     contrib /= frak_c(path.hurst, 0.0)
     values = np.concatenate(([0.0], np.cumsum(contrib)))
     return CumulativeCurve(partition.breakpoints, values, float(a),

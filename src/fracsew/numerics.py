@@ -118,19 +118,19 @@ def _legendre_pair() -> tuple[np.ndarray, np.ndarray]:
 
 def _panel_sums(fn: Callable[[np.ndarray], np.ndarray], panels: np.ndarray,
                 quadratic: bool) -> tuple[np.ndarray, np.ndarray]:
-    """G15 and its error bound on each row (lo, hi, end, sign) of ``panels``.
+    """G15 and its error bound on each row (lo, hi, end) of ``panels``.
 
     One call to ``fn`` takes every node.  Without ``quadratic`` a panel is
-    [lo, hi] in x; with it, [lo, hi] in u, where x = end + sign u^2 and
+    [lo, hi] in x; with it, [lo, hi] in u, where x = end + u^2 and
     dx = 2u du.  A node whose x rounds onto ``end`` counts as zero in the
     sums and as the panel's largest |value| in the error.
     """
     nodes, weights = _legendre_pair()
-    lo, hi, end, sign = panels.T
+    lo, hi, end = panels.T
     half = 0.5 * (hi - lo)
     u = (lo + half)[:, None] + half[:, None] * nodes
     if quadratic:
-        x = end[:, None] + sign[:, None] * (u * u)
+        x = end[:, None] + u * u
         keep = x != end[:, None]
         g = np.zeros(x.shape)
         g[keep] = _vectorized_values(fn, x[keep], "adaptive_quad")
@@ -145,8 +145,8 @@ def _panel_sums(fn: Callable[[np.ndarray], np.ndarray], panels: np.ndarray,
     return g15, err
 
 
-def _graded_panels(end: float, sign: float, span: float) -> np.ndarray:
-    """Rows (lo, hi, end, sign) covering u in [0, span], each 1/4 as wide as
+def _graded_panels(end: float, span: float) -> np.ndarray:
+    """Rows (lo, hi, end) covering u in [0, span], each 1/4 as wide as
     the next toward u = 0.
 
     The grading stops at width eps span, or before the first node of the
@@ -158,11 +158,11 @@ def _graded_panels(end: float, sign: float, span: float) -> np.ndarray:
     if end != 0.0:
         first, last = 0.5 * (1.0 + _legendre_pair()[0][[0, 14]])
         cuts = cuts[(first * cuts) ** 2 >= math.sqrt(_EPS) * abs(end)]
-        if cuts.size == 0 and end + sign * (0.5 * last * span) ** 2 != end:
+        if cuts.size == 0 and end + (0.5 * last * span) ** 2 != end:
             cuts = np.array([0.5 * span])
     edges = np.concatenate([[0.0], cuts[::-1], [span]])
-    rows = np.empty((edges.size - 1, 4))
-    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = edges[:-1], edges[1:], end, sign
+    rows = np.empty((edges.size - 1, 3))
+    rows[:, 0], rows[:, 1], rows[:, 2] = edges[:-1], edges[1:], end
     return rows
 
 
@@ -183,10 +183,9 @@ def adaptive_quad(fn: Callable[[np.ndarray], np.ndarray],
     error exceeds an equal share of 0.25 tol, until the errors sum to at
     most 0.25 tol or the next round would pass 400 panels.
 
-    ``singularity`` may be ``"lower"``, ``"upper"`` or ``"both"`` to flag an
-    integrable endpoint singularity.  The flagged end e goes to u = 0 under
-    r = e + u^2 (r = e - u^2 at an upper end; ``"both"`` splits [a, b] at
-    its midpoint), which turns power singularities milder than 1/sqrt into
+    ``singularity="lower"`` flags an integrable singularity at e = a (reflect
+    r -> a + b - r for one at b).  The flagged end goes to u = 0 under
+    r = e + u^2, which turns power singularities milder than 1/sqrt into
     smooth integrands.  The first panels shrink by 1/4 toward u = 0 until
     they fall below double resolution: down to eps times the range of u at
     e = 0, and elsewhere only while the nearest node still resolves r - e
@@ -199,7 +198,7 @@ def adaptive_quad(fn: Callable[[np.ndarray], np.ndarray],
     :class:`AccuracyError` (carrying the best estimate and its bound) when
     the errors still sum to tol or more.
     """
-    if singularity not in (None, "lower", "upper", "both"):
+    if singularity not in (None, "lower"):
         raise ConfigurationError(f"unknown singularity flag {singularity!r}")
     if not tol > 0.0:
         raise ConfigurationError(f"tol must be positive, got {tol!r}")
@@ -208,16 +207,8 @@ def adaptive_quad(fn: Callable[[np.ndarray], np.ndarray],
     if a == b:
         return QuadResult(0.0, 0.0)
     quadratic = singularity is not None
-    if singularity is None:
-        panels = np.array([[a, b, 0.0, 0.0]], dtype=float)
-    elif singularity == "both":
-        mid = a + 0.5 * (b - a)
-        panels = np.concatenate([_graded_panels(a, 1.0, math.sqrt(mid - a)),
-                                 _graded_panels(b, -1.0, math.sqrt(b - mid))])
-    elif singularity == "lower":
-        panels = _graded_panels(a, 1.0, math.sqrt(b - a))
-    else:
-        panels = _graded_panels(b, -1.0, math.sqrt(b - a))
+    panels = (_graded_panels(a, math.sqrt(b - a)) if quadratic
+              else np.array([[a, b, 0.0]], dtype=float))
     target = 0.25 * tol
     value, err = _panel_sums(fn, panels, quadratic)
     while not err.sum() <= target:
@@ -229,7 +220,7 @@ def adaptive_quad(fn: Callable[[np.ndarray], np.ndarray],
         # a failing panel at a flagged end is graded again, not halved,
         # and is kept whole once it reaches double resolution
         for i in np.flatnonzero(split & ~halve):
-            rows = _graded_panels(panels[i, 2], panels[i, 3], panels[i, 1])
+            rows = _graded_panels(panels[i, 2], panels[i, 1])
             if len(rows) > 1:
                 new.append(rows)
             else:
@@ -335,9 +326,13 @@ def mc_lm_norm(samples: Sequence[float] | np.ndarray, m: float) -> McEstimate:
     if x.size < 2 or mu == 0.0:
         stderr = 0.0
     else:
-        se_mu = float(y.std(ddof=1)) / math.sqrt(x.size)
+        # y and mu scaled by 2^e, the power of two that brings max(y) into
+        # [1/2, 1): exact, so the stderr keeps its bits, and the squares in
+        # std cannot overflow
+        e = -math.frexp(float(y.max()))[1]
+        se_mu = float(np.ldexp(y, e).std(ddof=1)) / math.sqrt(x.size)
         # delta method for g(mu) = mu^(1/m): g'(mu) = value / (m mu)
-        stderr = se_mu * value / (m * mu)
+        stderr = se_mu * value / (m * math.ldexp(mu, e))
     return McEstimate(value, stderr, int(x.size), float(m))
 
 

@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (AlignmentError, ConfigurationError, DomainError,
-                     FracsewError, RegimeWarning)
+from .errors import (AlignmentError, CapabilityError, ConfigurationError,
+                     DomainError, FracsewError, RegimeWarning)
 from .fbm import FbmConfig, FbmPath, sample_fbm
 from .numerics import (McEstimate, _as_count, _exact_sum, mc_lm_norm, mc_mean,
                        split_seed)
@@ -41,8 +41,8 @@ __all__ = [
 class Partition:
     """Strictly increasing breakpoints from 0 to the horizon."""
     breakpoints: np.ndarray
-    # (times, (i, j)): the interval indices on the last grid the breakpoints
-    # were mapped to, that grid's times array held; see _interval_indices
+    # (times, i, j, dt): the interval ends' indices on the last grid the
+    # breakpoints were mapped to and their time steps; see _interval_values
     _on_grid: tuple | None = field(default=None, init=False, repr=False,
                                    compare=False)
 
@@ -181,70 +181,77 @@ class SewingExponents:
 
 @dataclass(frozen=True)
 class Germ:
-    """Two-parameter interval functional A(path, s, t).
+    """Two-parameter interval functional A(s, t) of t - s, B_s and B_t.
 
-    ``batch(path, i, j)`` takes integer arrays of the grid indices of the
-    interval ends, s = ``path.times[i]`` and t = ``path.times[j]``, and
-    returns one value per interval.  It reads ``path.values`` and
-    ``path.times`` at those indices directly; the callers map times to
-    indices once, and raise :class:`AlignmentError` for off-grid times.
+    ``batch(dt, bs, bt)`` takes broadcastable arrays of those three, as
+    :func:`_interval_values` gathers them, and returns one value per
+    interval.  A path of dimension d > 1 has its state on the trailing axis.
     """
     name: str
-    batch: Callable[[FbmPath, np.ndarray, np.ndarray], np.ndarray]
+    batch: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     exponents: SewingExponents | None = None
 
-    def evaluate_batch(self, path: FbmPath, i: np.ndarray,
-                       j: np.ndarray) -> np.ndarray:
-        return np.asarray(self.batch(path, i, j), dtype=float)
+    def evaluate_batch(self, dt: np.ndarray, bs: np.ndarray, bt: np.ndarray) -> np.ndarray:
+        return np.asarray(self.batch(dt, bs, bt), dtype=float)
 
 
-def _interval_indices(path: FbmPath, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Grid indices ``(i, j)`` of the left and right ends of each interval.
+def _interval_values(path: FbmPath, partition: Partition) -> tuple[np.ndarray, ...]:
+    """``(t - s, B_s, B_t)`` on every interval [s, t] of the partition.
 
     The breakpoints must lie on distinct grid points, else
     :class:`AlignmentError`.  They are mapped once per (grid, partition):
-    the partition keeps the read-only ``(i, j)`` of the last grid it was
+    the partition keeps the read-only grid indices ``i``, ``j`` of the
+    interval ends and ``dt = times[j] - times[i]`` for the last grid it was
     mapped to, together with that grid's ``times`` array, and a path whose
     ``times`` is that very array reuses them.  The grid's times and the
-    breakpoints are read-only (see :class:`FbmPath`), so the indices stay
+    breakpoints are read-only (see :class:`FbmPath`), so the cache stays
     valid while the partition lives; a failed mapping is not kept.
     """
     cached = partition._on_grid
-    if cached is not None and cached[0] is path.times:
-        return cached[1]
-    idx = path.indices_of(partition.breakpoints)
-    idx.setflags(write=False)
-    i, j = idx[:-1], idx[1:]
-    if not (j > i).all():
-        raise AlignmentError("two breakpoints map to the same grid point")
-    object.__setattr__(partition, "_on_grid", (path.times, (i, j)))
-    return i, j
+    if cached is None or cached[0] is not path.times:
+        idx = path.indices_of(partition.breakpoints)
+        idx.setflags(write=False)
+        i, j = idx[:-1], idx[1:]
+        if not (j > i).all():
+            raise AlignmentError("two breakpoints map to the same grid point")
+        dt = path.times[j] - path.times[i]
+        dt.setflags(write=False)
+        cached = (path.times, i, j, dt)
+        object.__setattr__(partition, "_on_grid", cached)
+    _, i, j, dt = cached
+    return dt, path.values[i], path.values[j]
 
 
 def riemann_sum(germ: Germ, path: FbmPath, partition: Partition) -> float:
     """Sum of the germ over consecutive partition intervals.
 
-    The germ is evaluated on the :func:`_interval_indices` of the partition.
+    The germ is evaluated on the :func:`_interval_values` of the partition.
     The sum is correctly rounded, so it depends neither on the order of the
     intervals nor on evaluation batching: :func:`numerics._exact_sum` splits
     the values by Rump, Ogita and Oishi's error-free vector extraction
     (SIAM J. Sci. Comput. 31, 2008) into partial sums that are exact in any
     order, and returns the same float as the stdlib's ``fsum`` of the values.
+    A germ must return one value per interval, else :class:`CapabilityError`.
     """
-    i, j = _interval_indices(path, partition)
-    return _exact_sum(germ.evaluate_batch(path, i, j))
+    values = germ.evaluate_batch(*_interval_values(path, partition))
+    if values.shape != (partition.n_intervals,):
+        raise CapabilityError(f"{germ.name} returned shape {values.shape} for "
+                              f"{partition.n_intervals} intervals")
+    return _exact_sum(values)
 
 
 def delta_germ(germ: Germ, path: FbmPath, s: float, u: float, t: float) -> float:
     """Sewing defect A(s,t) - A(s,u) - A(u,t) for on-grid s < u < t.
 
     The three times are mapped to grid indices once and the germ is
-    evaluated on the index pairs of [s,t], [s,u] and [u,t].
+    evaluated on the gathered pairs of [s,t], [s,u] and [u,t].
     """
     idx = path.indices_of([s, u, t])
     if not idx[0] < idx[1] < idx[2]:
         raise DomainError(f"delta_germ needs s < u < t on the grid, got ({s!r}, {u!r}, {t!r})")
-    a_st, a_su, a_ut = germ.evaluate_batch(path, idx[[0, 0, 1]], idx[[2, 1, 2]])
+    i, j = idx[[0, 0, 1]], idx[[2, 1, 2]]
+    a_st, a_su, a_ut = germ.evaluate_batch(path.times[j] - path.times[i],
+                                           path.values[i], path.values[j])
     return float(a_st - a_su - a_ut)
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -306,6 +307,21 @@ def test_rate_exits_3_when_the_lm_norm_leaves_double_range(tmp_path, settings):
     out = tmp_path / "o"
     assert main(["rate", "--config", cfgfile, "--out", str(out)]) == 3
     assert not (out / "rate.csv").exists()
+
+
+def test_rate_writes_a_finite_stderr_at_a_huge_horizon(tmp_path):
+    """At horizon 1e100 the squared distances are finite but their squares
+    overflow; every rate.csv row still carries a finite stderr."""
+    cfgfile = _write_cfg(tmp_path, "c.cfg", germ="ito:identity", hurst="0.75",
+                         horizon="1e100", levels="4:8", replicas="8")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["rate", "--config", cfgfile, "--out", str(out)]) == 0
+    table = read_table(str(out / "rate.csv"))
+    assert np.isfinite(table.rows).all()
+    assert (table.rows[:-1, 2] > 0.0).all()
+    assert main(["report", "--out", str(out)]) == 0
 
 
 def test_rate_unknown_germ(tmp_path):

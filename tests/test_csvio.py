@@ -142,10 +142,7 @@ def test_cumulative_csv(tmp_path):
 
 
 def _tiny_fit():
-    def batch(path, i, j):
-        return path.times[j] - path.times[i]
-
-    germ = Germ(name="additive", batch=batch)
+    germ = Germ(name="additive", batch=lambda dt, bs, bt: dt)
     return estimate_convergence_rate(
         germ, FbmConfig(hurst=0.5, grid_n=2 ** 7, seed=1), (4, 5, 6, 7),
         replicas=2)

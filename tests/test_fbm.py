@@ -38,12 +38,21 @@ def test_c_h_is_one_at_half():
     assert c_h(0.5) == 1.0
 
 
+def _both_ends(fn, reflected, tol):
+    """Integral over [0, 1] of an integrand singular at either end: the
+    halves [0, 1/2] of ``fn`` and of ``reflected`` (fn at 1 - r, written
+    without the cancellation of 1 - r) with their singular end flagged."""
+    return sum(adaptive_quad(g, 0.0, 0.5, tol=0.5 * tol, singularity="lower").value
+               for g in (fn, reflected))
+
+
 def test_c_h_against_beta_integral():
-    """Dual route: recompute the Beta factor by direct quadrature."""
-    for H in (0.75, 0.25):
-        direct = adaptive_quad(
+    """Dual route: recompute the Beta factor by direct quadrature.  H = 0.1
+    has a strong singularity at u = 1, which the reflection moves to 0."""
+    for H in (0.75, 0.25, 0.1):
+        direct = _both_ends(
             lambda u: u ** (1.0 - 2.0 * H) * (1.0 - u) ** (H - 0.5),
-            0.0, 1.0, tol=1e-11, singularity="both").value
+            lambda r: (1.0 - r) ** (1.0 - 2.0 * H) * r ** (H - 0.5), tol=1e-11)
         want = (1.5 - H) / (2.0 * H) * direct
         assert c_h(H) == pytest.approx(want, abs=1e-10)
 
@@ -106,14 +115,16 @@ def _mvn_kernel(t, s, hurst):
 def test_fbm_cov_against_kernel_quadrature():
     """Dual route: covariance as the kernel product integrated over the line."""
     s, t = 0.3, 0.7
-    for H, flag in ((0.7, None), (0.25, "upper")):
+    for H, flag in ((0.7, None), (0.25, "lower")):
         f = lambda r: _mvn_kernel(s, r, H) * _mvn_kernel(t, r, H)
         # r = -u / (1 - u) maps [0, 1) onto (-inf, 0]; the integrand grows
         # like (1 - u)^(-0.4) at u = 1 for H = 0.7 and like u^(-0.5) at
         # u = 0 for H = 0.25
-        tail = adaptive_quad(lambda u: f(-u / (1.0 - u)) / (1.0 - u) ** 2,
-                             0.0, 1.0, tol=2e-8, singularity="both").value
-        body = adaptive_quad(f, 0.0, s, tol=2e-8, singularity=flag).value
+        tail = _both_ends(lambda u: f(-u / (1.0 - u)) / (1.0 - u) ** 2,
+                          lambda v: f((v - 1.0) / v) / (v * v), tol=2e-8)
+        # the body's singularity at r = s is reflected onto 0 by r -> s - r
+        body = adaptive_quad(lambda r: f(s - r), 0.0, s, tol=2e-8,
+                             singularity=flag).value
         assert fbm_cov(s, t, H) == pytest.approx(tail + body, abs=1e-6)
 
 

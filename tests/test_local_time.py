@@ -352,9 +352,8 @@ def test_upcross_and_occupation_agree_in_mean():
 def test_upcross_germ_matches_sum():
     p = sample_fbm(FbmConfig(hurst=0.3, grid_n=2 ** 9, seed=51))
     part = dyadic_partition(1.0, 7)
-    g = upcross_germ(0.1, gamma=0.5)
+    g = upcross_germ(0.1, 0.3, gamma=0.5)
     assert g.name == "upcross[a=0.1,gamma=0.5]"
-    assert riemann_sum(g, p, part) == pytest.approx(
-        upcrossing_sum(p, part, 0.1, gamma=0.5), rel=1e-12)
+    assert riemann_sum(g, p, part) == upcrossing_sum(p, part, 0.1, gamma=0.5)
     with pytest.raises(DomainError):
-        upcross_germ(0.0, gamma=-1.0)
+        upcross_germ(0.0, 0.3, gamma=-1.0)

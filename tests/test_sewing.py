@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fracsew import (
     AlignmentError,
+    CapabilityError,
     ConfigurationError,
     DomainError,
     FbmConfig,
@@ -32,6 +33,7 @@ from fracsew import (
     upcrossing_excess_sum,
     young_euler_solve,
 )
+from fracsew.cli import _resolve_germ
 from fracsew.fsde import SolutionPath
 from fracsew.local_time import CumulativeCurve, LocalTimeCurve
 from fracsew.sewing import Germ
@@ -160,8 +162,7 @@ def _bm_path(seed=0, n=256):
 
 
 def _increment_germ():
-    return Germ(name="increment",
-                batch=lambda path, i, j: path.values[j] - path.values[i])
+    return Germ(name="increment", batch=lambda dt, bs, bt: bt - bs)
 
 
 def test_riemann_sum_telescopes_for_additive_germ():
@@ -174,6 +175,17 @@ def test_riemann_sum_telescopes_for_additive_germ():
     # an irregular grid-aligned partition telescopes too
     ragged = Partition(path.times[[0, 3, 17, 100, 101, 256]])
     assert riemann_sum(germ, path, ragged) == pytest.approx(total, rel=1e-12)
+
+
+def test_riemann_sum_needs_one_value_per_interval():
+    """A scalar integrand's germ on a vector path returns a value per
+    component, and a constant germ one value in all: both are rejected."""
+    vector = sample_fbm(FbmConfig(hurst=0.75, grid_n=8, seed=1, dim=2))
+    with pytest.raises(CapabilityError, match="shape"):
+        riemann_sum(ito_germ(get_integrand("sign")), vector, uniform_partition(1.0, 8))
+    with pytest.raises(CapabilityError, match="shape"):
+        riemann_sum(Germ("one", lambda dt, bs, bt: 1.0), _bm_path(n=8),
+                    uniform_partition(1.0, 4))
 
 
 def test_riemann_sum_alignment_error():
@@ -190,24 +202,53 @@ def test_delta_germ_zero_for_additive():
         delta_germ(_increment_germ(), path, 0.5, 0.5, 0.75)
 
 
-def test_riemann_sum_passes_grid_indices():
-    """Germs receive the breakpoints' grid indices, looked up once:
-    exactly idx[:-1] and idx[1:], as read-only integer arrays."""
+def test_riemann_sum_passes_grid_indices(lookups):
+    """Germs receive (t - s, B_s, B_t) read at the breakpoints' grid indices
+    i = idx[:-1] and j = idx[1:], after one lookup per (grid, partition):
+    a read-only dt equal to times[j] - times[i], kept between calls."""
     path = _bm_path(seed=4)
     seen = []
 
-    def batch(p, i, j):
-        seen.append((i, j))
-        return p.values[j] - p.values[i]
+    def batch(dt, bs, bt):
+        seen.append((dt, bs, bt))
+        return bt - bs
 
     part = Partition(path.times[[0, 3, 17, 100, 101, 256]])
-    total = riemann_sum(Germ(name="rec", batch=batch), path, part)
-    (i, j), = seen
-    assert i.dtype.kind == "i" and j.dtype.kind == "i"
-    assert not i.flags.writeable and not j.flags.writeable
-    np.testing.assert_array_equal(i, [0, 3, 17, 100, 101])
-    np.testing.assert_array_equal(j, [3, 17, 100, 101, 256])
-    assert total == pytest.approx(path.values[-1] - path.values[0], rel=1e-12)
+    germ = Germ(name="rec", batch=batch)
+    totals = [riemann_sum(germ, path, part) for _ in range(2)]
+    assert len(lookups) == 1
+    i, j = [0, 3, 17, 100, 101], [3, 17, 100, 101, 256]
+    for dt, bs, bt in seen:
+        assert not dt.flags.writeable
+        assert dt.tobytes() == (path.times[j] - path.times[i]).tobytes()
+        assert bs.tobytes() == path.values[i].tobytes()
+        assert bt.tobytes() == path.values[j].tobytes()
+    assert seen[0][0] is seen[1][0]
+    assert totals[0] == totals[1]
+    assert totals[0] == pytest.approx(path.values[-1] - path.values[0], rel=1e-12)
+
+
+_BUILTIN_GERMS = ["ito:identity", "ito:sign", "ito:sin_prime",
+                  "ito:abs_pow:0.5", "ito:indicator_pos", "strat:identity",
+                  "strat:sign", "strat:abs_pow:0.3", "variation", "upcross",
+                  "additive"]
+
+
+@pytest.mark.parametrize("spec", _BUILTIN_GERMS)
+def test_builtin_germs_broadcast_like_an_elementwise_loop(spec):
+    """Every germ the CLI builds is a function of broadcastable (dt, bs, bt):
+    a scalar dt, bs of shape (k, 1) and bt of shape (1, k) give the (k, k)
+    table of the germ on every pair, bit for bit."""
+    germ = _resolve_germ({"germ": spec, "hurst": 0.3, "p": 1.7, "a": 0.1,
+                          "gamma": 0.5})
+    k, dt = 9, 0.125
+    rng = np.random.default_rng(7)
+    bs = np.concatenate([[0.1, 0.0], rng.standard_normal(k - 2)])[:, None]
+    bt = np.concatenate([[0.1, -0.0], rng.standard_normal(k - 2)])[None, :]
+    got = np.broadcast_to(germ.evaluate_batch(dt, bs, bt), (k, k))
+    want = np.array([[germ.evaluate_batch(np.array([dt]), bs[r], bt[:, c])[0]
+                      for c in range(k)] for r in range(k)])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_evaluate_and_delta_germ_resolve_times():
@@ -260,7 +301,10 @@ def lookups(monkeypatch):
 
 def _uncached_sum(germ, path, partition):
     idx = path.indices_of(partition.breakpoints)
-    return math.fsum(germ.evaluate_batch(path, idx[:-1], idx[1:]).tolist())
+    i, j = idx[:-1], idx[1:]
+    values = germ.evaluate_batch(path.times[j] - path.times[i],
+                                 path.values[i], path.values[j])
+    return math.fsum(values.tolist())
 
 
 def test_riemann_sum_on_shared_grid_matches_uncached_reference(lookups):
@@ -290,8 +334,8 @@ def test_riemann_sum_above_the_fsum_crossover_matches_fsum():
     config = FbmConfig(hurst=0.75, grid_n=2 ** 12)
     germs = [ito_germ(get_integrand("sign"), 0.75),
              ito_germ(get_integrand("identity"), 0.75),
-             Germ("spread", lambda path, i, j: (path.values[j] - path.values[i])
-                  * 10.0 ** (40.0 * np.sin(7.0 * i)))]
+             Germ("spread", lambda dt, bs, bt: (bt - bs)
+                  * 10.0 ** (40.0 * np.sin(1e3 * bs)))]
     for seed in (1, 2):
         path = sample_fbm(replace(config, seed=seed))
         for germ in germs:
@@ -390,7 +434,7 @@ def test_result_types_freeze_copies_not_the_callers_arrays(build, fields):
 def test_delta_germ_square_increment():
     # A(s,t) = (B_t - B_s)^2 has defect (x+y)^2 - x^2 - y^2 = 2xy
     path = _bm_path(seed=3)
-    sq = Germ(name="sq", batch=lambda p, i, j: (p.values[j] - p.values[i]) ** 2)
+    sq = Germ(name="sq", batch=lambda dt, bs, bt: (bt - bs) ** 2)
     s, u, t = 0.25, 0.5, 0.75
     bs, bu, bt = path.values[path.indices_of([s, u, t])]
     want = 2.0 * ((bu - bs) * (bt - bu))
@@ -403,7 +447,7 @@ def test_refinement_telescoping_identity():
     here."""
     path = _bm_path(seed=5)
     sq = Germ(name="sq",
-              batch=lambda p, i, j: (p.values[j] - p.values[i]) ** 2)
+              batch=lambda dt, bs, bt: (bt - bs) ** 2)
     coarse = uniform_partition(1.0, 4)
     fine = Partition(np.array([0.0, 0.125, 0.25, 0.3125, 0.5, 0.75, 1.0]))
     lhs = riemann_sum(sq, path, coarse) - riemann_sum(sq, path, fine)
@@ -446,7 +490,7 @@ def test_rate_deterministic_power_germ():
     differences are an exact power law and the fit recovers 0.3 to
     rounding."""
     germ = Germ(name="pow13",
-                batch=lambda p, i, j: (p.times[j] - p.times[i]) ** 1.3)
+                batch=lambda dt, bs, bt: dt ** 1.3)
     res = estimate_convergence_rate(
         germ, FbmConfig(hurst=0.5, grid_n=2 ** 16, seed=3),
         levels=range(2, 17), replicas=2)
@@ -463,7 +507,7 @@ def test_rate_deterministic_power_germ():
 
 def test_rate_additive_germ_exact():
     germ = Germ(name="inc",
-                batch=lambda p, i, j: p.values[j] - p.values[i])
+                batch=lambda dt, bs, bt: bt - bs)
     res = estimate_convergence_rate(
         germ, FbmConfig(hurst=0.3, grid_n=2 ** 8, seed=1),
         levels=(4, 5, 6, 7, 8), replicas=4)
@@ -476,7 +520,7 @@ def test_rate_squared_increment_brownian():
     """Squared-increment sums at H=1/2 are chi-square with L2 distance
     proportional to sqrt(mesh)."""
     sq = Germ(name="sq",
-              batch=lambda p, i, j: (p.values[j] - p.values[i]) ** 2)
+              batch=lambda dt, bs, bt: (bt - bs) ** 2)
     res = estimate_convergence_rate(
         sq, FbmConfig(hurst=0.5, grid_n=2 ** 9, seed=21),
         levels=(4, 5, 6, 7, 8, 9), replicas=64)
@@ -486,9 +530,9 @@ def test_rate_squared_increment_brownian():
 
 def test_rate_scaling_invariance():
     base = Germ(name="pow",
-                batch=lambda p, i, j: (p.times[j] - p.times[i]) ** 1.4)
+                batch=lambda dt, bs, bt: dt ** 1.4)
     scaled = Germ(name="pow7x",
-                  batch=lambda p, i, j: 7.0 * (p.times[j] - p.times[i]) ** 1.4)
+                  batch=lambda dt, bs, bt: 7.0 * dt ** 1.4)
     cfg = FbmConfig(hurst=0.5, grid_n=2 ** 8, seed=6)
     a = estimate_convergence_rate(base, cfg, levels=(3, 4, 5, 6, 7, 8), replicas=3)
     b = estimate_convergence_rate(scaled, cfg, levels=(3, 4, 5, 6, 7, 8), replicas=3)
@@ -499,7 +543,7 @@ def test_rate_scaling_invariance():
 
 def test_rate_threading_is_deterministic():
     germ = Germ(name="sq",
-                batch=lambda p, i, j: (p.values[j] - p.values[i]) ** 2)
+                batch=lambda dt, bs, bt: (bt - bs) ** 2)
     cfg = FbmConfig(hurst=0.7, grid_n=2 ** 7, seed=13)
     one = estimate_convergence_rate(germ, cfg, levels=(3, 4, 5, 6, 7), replicas=8)
     two = estimate_convergence_rate(germ, cfg, levels=(3, 4, 5, 6, 7), replicas=8)
@@ -523,7 +567,7 @@ def test_rate_warns_only_when_declared_exponents_fail():
 
 
 def test_rate_validation():
-    germ = Germ(name="g", batch=lambda p, i, j: p.times[j] - p.times[i])
+    germ = Germ(name="g", batch=lambda dt, bs, bt: dt)
     cfg = FbmConfig(hurst=0.5, grid_n=2 ** 6, seed=0)
     with pytest.raises(ConfigurationError):
         estimate_convergence_rate(germ, cfg, levels=(3, 4, 5), replicas=4)
