@@ -417,7 +417,7 @@ def _report_rows(out_dir: str) -> list[tuple]:
                 ok = bool(np.all(np.isfinite(table.rows))
                           and np.all(table.rows[:, 1] >= 0.0))
                 rows.append((rel, "curve_nonnegative", float(table.rows.shape[0]),
-                             "finite, >= 0", "PASS" if ok else "FAIL"))
+                             "finite and >= 0", "PASS" if ok else "FAIL"))
             elif fname == "cumulative.csv":
                 table = _read_series(full, rel)
                 if table.rows.shape[0] == 0:
@@ -441,6 +441,10 @@ def _report_rows(out_dir: str) -> list[tuple]:
                 ok = exact or (np.isfinite(eps) and eps > 0.0)
                 rows.append((rel, "rate_positive", eps, "> 0 or exact",
                              "PASS" if ok else "FAIL"))
+                # meshes, L_m distances and their stderrs
+                ok = bool(np.all(np.isfinite(table.rows)) and np.all(table.rows >= 0.0))
+                rows.append((rel, "rate_distances", float(table.rows.shape[0]),
+                             "finite and >= 0", "PASS" if ok else "FAIL"))
             elif fname == "probe.csv":
                 table = read_table(full)
                 plateau = table.meta.get("plateau_free")

@@ -4,7 +4,7 @@ Four estimator families for the local time L_T(a) (occupation density at
 level a), all reduced to a common scale:
 
 * weighted up-crossing sums (optionally |increment|^gamma weighted),
-* plain crossing counts on a uniform subgrid,
+* plain crossing counts (the gamma = 0 up-crossing sum),
 * endpoint-excess sums over up-crossing intervals,
 * a kernel occupation-density estimator (the classical reference).
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigurationError, DomainError
 from .fbm import FbmPath, _read_only, c_h
-from .numerics import _as_count, _exact_sum, normal_abs_moment
+from .numerics import _as_count, _exact_sum, _range_sums, normal_abs_moment
 from .sewing import Germ, Partition, _interval_values, riemann_sum
 
 __all__ = [
@@ -69,7 +69,7 @@ def validate_m_condition(hurst: float, m: float) -> bool:
 
 def _check_one_dim(path: FbmPath) -> None:
     if path.dim != 1:
-        raise DomainError("crossing estimators are one-dimensional")
+        raise DomainError("local-time estimators are one-dimensional")
 
 
 def _crossing_weight(dt: np.ndarray, inc: np.ndarray, hurst: float,
@@ -154,8 +154,7 @@ def occupation_density_estimator(path: FbmPath, a: float,
     """
     if not bandwidth > 0.0:
         raise DomainError(f"bandwidth must be positive, got {bandwidth!r}")
-    if path.dim != 1:
-        raise DomainError("occupation estimator is one-dimensional")
+    _check_one_dim(path)
     dt = np.diff(path.times)
     inside = np.abs(path.values[:-1] - a) <= bandwidth
     return _exact_sum(dt[inside]) / (2.0 * bandwidth)
@@ -193,12 +192,8 @@ class LocalTimeCurve:
     normalized: bool
 
     def __post_init__(self) -> None:
-        levels = _read_only(self.levels)
+        levels = _check_level_grid(_read_only(self.levels))
         values = _read_only(self.values)
-        if levels.ndim != 1 or levels.size < 2:
-            raise ConfigurationError("level grid must hold at least two levels")
-        if np.any(np.diff(levels) <= 0.0):
-            raise ConfigurationError("level grid must be strictly increasing")
         if values.shape != levels.shape:
             raise ConfigurationError("values must match the level grid")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
@@ -211,52 +206,29 @@ class LocalTimeCurve:
         return float(np.trapezoid(self.values, self.levels))
 
 
-def _range_accumulate(lo_idx: np.ndarray, hi_idx: np.ndarray,
-                      weights: np.ndarray, n_levels: int) -> np.ndarray:
-    """Sum ``weights[k]`` into every slot of [lo_idx[k], hi_idx[k])."""
-    diff = np.zeros(n_levels + 1)
-    np.add.at(diff, lo_idx, weights)
-    np.add.at(diff, hi_idx, -weights)
-    out = np.cumsum(diff)[:n_levels]
-    # each slot is a sum of nonnegative weights; cumsum cancellation can
-    # leave ~1e-15 residue where the true value is zero
-    return np.maximum(out, 0.0)
+def _check_level_grid(levels: np.ndarray) -> np.ndarray:
+    if not (levels.ndim == 1 and levels.size >= 2 and np.isfinite(levels).all()
+            and np.all(np.diff(levels) > 0.0)):
+        raise ConfigurationError("level grid must be 1-d, finite, strictly "
+                                 "increasing and hold at least two levels")
+    return levels
 
 
 def _crossing_curve_values(low, high, dt, hurst, gamma, levels):
-    """Crossing weights of the intervals running from ``low`` up to ``high``,
-    accumulated over the levels strictly between the two ends.
-
-    Up-crossings pass (left, right); down-crossings pass (right, left).
-    """
+    """Correctly rounded sums, per level, of the crossing weights of the
+    intervals from ``low`` up to ``high`` over the levels strictly between.
+    Up-crossings pass (left, right); down-crossings pass (right, left)."""
     keep = high > low
     lo = np.searchsorted(levels, low[keep], side="right")
     hi = np.searchsorted(levels, high[keep], side="left")
     w = _crossing_weight(dt[keep], high[keep] - low[keep], hurst, gamma)
-    return _range_accumulate(lo, hi, w, levels.size)
+    return _range_sums(w, lo, hi, levels.size)
 
 
 def _excess_at(left, right, a, p):
     """|B_t - a|^p summed over the intervals with B_s < a < B_t."""
     mask = (left < a) & (a < right)
     return _exact_sum(np.abs(right[mask] - a) ** p)
-
-
-def _excess_curve_values(left, right, hurst, levels):
-    p = 1.0 / hurst - 1.0
-    keep = right > left
-    ls, rs = left[keep], right[keep]
-    return np.array([_excess_at(ls, rs, a, p) for a in levels])
-
-
-def _occupation_curve_values(path: FbmPath, levels, bandwidth):
-    dt = np.diff(path.times)
-    order = np.argsort(path.values[:-1], kind="stable")
-    sorted_vals = path.values[:-1][order]
-    prefix = np.concatenate(([0.0], np.cumsum(dt[order])))
-    lo = np.searchsorted(sorted_vals, levels - bandwidth, side="left")
-    hi = np.searchsorted(sorted_vals, levels + bandwidth, side="right")
-    return (prefix[hi] - prefix[lo]) / (2.0 * bandwidth)
 
 
 def local_time_curve(path: FbmPath, partition: Partition, estimator: str,
@@ -266,52 +238,50 @@ def local_time_curve(path: FbmPath, partition: Partition, estimator: str,
     """Evaluate one estimator over a whole grid of spatial levels.
 
     ``estimator`` is one of ``"upcross"`` (gamma-weighted), ``"count"``
-    (uniform-grid up-crossing count), ``"excess"``, ``"bidirectional"`` or
-    ``"occupation"``.  With ``normalized=True`` the estimator's limiting
-    constant is divided out so all tags estimate the same curve:
-    frak_c(H, gamma) for upcross, frak_c(H, 0) for count,
-    2 frak_c for bidirectional, H frak_c(H, 1/H - 1) for excess; the
-    occupation estimator is already on the local-time scale.
+    (the gamma = 0 up-crossing curve on ``partition``), ``"excess"``,
+    ``"bidirectional"`` or ``"occupation"``.  At every level the upcross,
+    count and excess curves are the correctly rounded sums of their scalar
+    estimators, and bidirectional is the up- plus the down-crossing sum.
+    With ``normalized=True`` the estimator's limiting constant is divided
+    out so all tags estimate the same curve: frak_c(H, gamma) for upcross,
+    frak_c(H, 0) for count, 2 frak_c for bidirectional, H frak_c(H, 1/H - 1)
+    for excess; the occupation estimator is already on the local-time
+    scale.  ``levels`` must be a 1-d, finite, strictly increasing grid of
+    at least two levels.
     """
-    if levels is None:
-        levels = default_level_grid(path)
-    levels = np.asarray(levels, dtype=float)
-    if path.dim != 1:
-        raise DomainError("local-time curves are one-dimensional")
-    if np.any(np.diff(levels) <= 0.0):
-        raise ConfigurationError("level grid must be strictly increasing")
-    H = path.hurst
-
+    _check_one_dim(path)
+    levels = _check_level_grid(np.asarray(
+        default_level_grid(path) if levels is None else levels, dtype=float))
+    H, n, g = path.hurst, partition.n_intervals, 0.0 if estimator == "count" else gamma
     if estimator == "occupation":
         bw = default_bandwidth(path) if bandwidth is None else float(bandwidth)
         if not bw > 0.0:
             raise DomainError(f"bandwidth must be positive, got {bw!r}")
-        values = _occupation_curve_values(path, levels, bw)
-        return LocalTimeCurve(levels, values, f"occupation(bw={bw:.6g})", H,
-                              path.grid_n, path.horizon, normalized)
-
-    dt, left, right = _interval_values(path, partition)
-    if estimator == "upcross":
-        values = _crossing_curve_values(left, right, dt, H, gamma, levels)
-        scale = frak_c(H, gamma) if normalized else 1.0
-        tag = f"upcross(gamma={gamma:g})"
-    elif estimator == "bidirectional":
-        values = (_crossing_curve_values(left, right, dt, H, gamma, levels)
-                  + _crossing_curve_values(right, left, dt, H, gamma, levels))
-        scale = 2.0 * frak_c(H, gamma) if normalized else 1.0
-        tag = f"bidirectional(gamma={gamma:g})"
-    elif estimator == "count":
-        values = _crossing_curve_values(left, right, dt, H, 0.0, levels)
-        scale = frak_c(H, 0.0) if normalized else 1.0
-        tag = "count"
+        # the time (left-endpoint rule) with a - bw <= B_k <= a + bw, a sum
+        # over the levels of fl(a + bw) >= B_k and fl(a - bw) <= B_k
+        b = path.values[:-1]
+        lo = np.searchsorted(levels + bw, b, side="left")
+        hi = np.searchsorted(levels - bw, b, side="right")
+        values = _range_sums(np.diff(path.times), lo, hi, levels.size) / (2.0 * bw)
+        n, scale, tag = path.grid_n, 1.0, f"occupation(bw={bw:.6g})"
     elif estimator == "excess":
-        values = _excess_curve_values(left, right, H, levels)
-        scale = H * frak_c(H, 1.0 / H - 1.0) if normalized else 1.0
-        tag = "excess"
+        _, left, right = _interval_values(path, partition)
+        keep, p = right > left, 1.0 / H - 1.0
+        ls, rs = left[keep], right[keep]
+        values = np.array([_excess_at(ls, rs, a, p) for a in levels])
+        scale, tag = H * frak_c(H, p), "excess"
+    elif estimator in ("upcross", "count", "bidirectional"):
+        dt, left, right = _interval_values(path, partition)
+        values = _crossing_curve_values(left, right, dt, H, g, levels)
+        scale = frak_c(H, g)
+        tag = "count" if estimator == "count" else f"{estimator}(gamma={g:g})"
+        if estimator == "bidirectional":
+            values = values + _crossing_curve_values(right, left, dt, H, g, levels)
+            scale *= 2.0
     else:
         raise ConfigurationError(f"unknown estimator tag {estimator!r}")
-    return LocalTimeCurve(levels, values / scale, tag, H,
-                          partition.n_intervals, path.horizon, normalized)
+    return LocalTimeCurve(levels, values / (scale if normalized else 1.0), tag,
+                          H, n, path.horizon, normalized)
 
 
 @dataclass(frozen=True)

@@ -246,40 +246,66 @@ def adaptive_quad(fn: Callable[[np.ndarray], np.ndarray],
 _FSUM_MAX_N = 384
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """Correctly rounded sum of a 1-D float array: the float math.fsum gives.
+def _extract(x: np.ndarray, parts: int, reduce) -> list | None:
+    """Exact partial sums of ``x`` by error-free vector extraction (Rump,
+    Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008), or None.
 
-    Error-free vector extraction (Rump, Ogita and Oishi, "Accurate
-    floating-point summation part I: faithful rounding", SIAM J. Sci.
-    Comput. 31, 2008).  With |p| < 2^e and 2^k >= n + 2, sigma = 2^(e+k)
-    splits p exactly into q = (sigma + p) - sigma, whose entries lie on the
-    grid sigma 2^-53 and so sum exactly in any order, and p - q, below
-    2^(e+k-53).  Each pass keeps one exact partial sum and lowers e by
-    53 - k; once the residual is all zero the partial sums add up exactly
-    to the input's sum, and math.fsum rounds them correctly.
-
-    Up to ``_FSUM_MAX_N`` values, non-finite values, values above 2^900
-    and residuals below 2^-960 go to math.fsum on the input, with its
-    results and its exceptions.
+    With |p| < 2^e and 2^k >= parts + 2, sigma = 2^(e+k) splits p exactly
+    into q = (sigma + p) - sigma, on the grid sigma 2^-53, and p - q, below
+    2^(e+k-53).  Sums of up to ``parts`` entries of q are exact in any
+    order, and ``reduce(q)`` forms such sums.  Each pass appends one and
+    lowers e by 53 - k.  None unless 0 < max|x| <= 2^900 and the residual
+    is all zero before it would fall below 2^-960.
     """
-    x = np.asarray(values, dtype=float)
-    n = x.size
-    top = float(np.abs(x).max()) if n > _FSUM_MAX_N else math.nan
+    top = float(np.abs(x).max()) if x.size else math.nan
     if not 0.0 < top <= 2.0 ** 900:
-        return math.fsum(x.tolist())
-    k = (n + 1).bit_length()    # 2^k >= n + 2
-    e = math.frexp(top)[1]      # top < 2^e
+        return None
+    k = (parts + 1).bit_length()    # 2^k >= parts + 2
+    e = math.frexp(top)[1]          # top < 2^e
     partials = []
     p = x
     while e + k >= -960:
         sigma = math.ldexp(1.0, e + k)
         q = (sigma + p) - sigma
-        partials.append(float(np.add.reduce(q)))
+        partials.append(reduce(q))
         p = p - q
         if not p.any():
-            return math.fsum(partials)
+            return partials
         e += k - 53
-    return math.fsum(x.tolist())
+    return None
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """Correctly rounded sum of a 1-D float array: the float math.fsum gives.
+
+    math.fsum of the partials of :func:`_extract` by ``np.add.reduce``;
+    up to ``_FSUM_MAX_N`` values, or where they are None, math.fsum of the
+    input, with its results and its exceptions.
+    """
+    x = np.asarray(values, dtype=float)
+    partials = _extract(x, x.size, np.add.reduce) if x.size > _FSUM_MAX_N else None
+    return math.fsum(x.tolist() if partials is None else partials)
+
+
+def _range_sums(values: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                n: int) -> np.ndarray:
+    """For each j < n, the correctly rounded sum of the values[k] with
+    lo[k] <= j < hi[k] (lo and hi in [0, n]).
+
+    :func:`_extract` reduces q by ``np.cumsum`` of the difference array
+    ``np.bincount`` builds from +q at lo and -q at hi: exact, as each sum
+    has at most 2 len(values) parts.  One float addition rounds up to two
+    partials, math.fsum more; where they are None, fsum level by level.
+    """
+    x = np.asarray(values, dtype=float)
+    at = np.concatenate([lo, hi])
+    partials = _extract(x, 2 * x.size, lambda q: np.cumsum(np.bincount(
+        at, np.concatenate([q, -q]), minlength=n + 1)[:n]))
+    if partials is None:
+        return np.array([math.fsum(x[(lo <= j) & (j < hi)].tolist()) for j in range(n)])
+    if len(partials) <= 2:
+        return partials[0] if len(partials) == 1 else partials[0] + partials[1]
+    return np.array([math.fsum(row) for row in np.column_stack(partials).tolist()])
 
 
 @dataclass(frozen=True)

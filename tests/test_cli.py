@@ -404,6 +404,7 @@ def test_report_flow(tmp_path):
     lines = (out / "report.csv").read_text().splitlines()
     data = [ln for ln in lines if not ln.startswith("#")][1:]
     assert len(data) >= 7  # path + 5 curves + cumulative + summary
+    assert all(ln.count(",") == 4 for ln in data)  # five cells, none quoted
     statuses = {ln.rsplit(",", 1)[1] for ln in data}
     assert statuses == {"PASS"}
 
@@ -418,6 +419,31 @@ def test_report_flow(tmp_path):
     lines[header_at + 1] = f"{first[0]},-1.0"
     victim.write_text("\n".join(lines) + "\n")
     assert main(["report", "--out", str(out)]) == 1
+
+
+def test_report_fails_a_rate_table_with_bad_distances(tmp_path):
+    """A non-finite stderr or a negative L_m distance in rate.csv is a
+    failed check: report exits 1."""
+    cfgfile = _write_cfg(tmp_path, "c.cfg", germ="ito:sign", hurst="0.75",
+                         levels="4:8", replicas="8")
+    out = tmp_path / "o"
+    assert main(["rate", "--config", cfgfile, "--out", str(out)]) == 0
+    assert main(["report", "--out", str(out)]) == 0
+    victim = out / "rate.csv"
+    lines = victim.read_text().splitlines()
+    header_at = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    assert lines[header_at] == "mesh,lm_distance,stderr"
+    mesh, dist, _ = lines[header_at + 1].split(",")
+    lines[header_at + 1] = f"{mesh},{dist},inf"
+    mesh, _, err = lines[header_at + 2].split(",")
+    lines[header_at + 2] = f"{mesh},-0.5,{err}"
+    victim.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--out", str(out)]) == 1
+    rows = [ln.split(",") for ln in (out / "report.csv").read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    assert all(len(r) == 5 for r in rows)
+    assert [(r[1], r[4]) for r in rows] == [("rate_positive", "PASS"),
+                                            ("rate_distances", "FAIL")]
 
 
 def test_report_non_numeric_cell_exits_two(tmp_path):

@@ -212,14 +212,13 @@ def test_curve_matches_scalar_estimators():
     bi = local_time_curve(p, part, "bidirectional", levels, gamma=0.0,
                           normalized=False)
     occ = local_time_curve(p, part, "occupation", levels, bandwidth=0.05)
+    # occupation stays approximate: its scalar tests |B - a| <= bw, another
+    # floating-point predicate than a - bw <= B <= a + bw
     for i, a in enumerate(levels):
-        assert up.values[i] == pytest.approx(
-            upcrossing_sum(p, part, a, gamma=0.5), rel=1e-12, abs=1e-15)
-        assert exc.values[i] == pytest.approx(
-            upcrossing_excess_sum(p, part, a), rel=1e-12, abs=1e-15)
-        assert bi.values[i] == pytest.approx(
-            upcrossing_sum(p, part, a) + downcrossing_sum(p, part, a),
-            rel=1e-12, abs=1e-15)
+        assert up.values[i] == upcrossing_sum(p, part, a, gamma=0.5)
+        assert exc.values[i] == upcrossing_excess_sum(p, part, a)
+        assert bi.values[i] == (upcrossing_sum(p, part, a)
+                                + downcrossing_sum(p, part, a))
         assert occ.values[i] == pytest.approx(
             occupation_density_estimator(p, a, 0.05), rel=1e-12, abs=1e-15)
 
@@ -231,8 +230,31 @@ def test_count_curve_matches_scalar_count():
     levels = default_level_grid(p, n_levels=31)
     curve = local_time_curve(p, part, "count", levels, normalized=False)
     for i, a in enumerate(levels):
-        assert curve.values[i] == pytest.approx(
-            crossing_count_estimator(p, n, a), rel=1e-12, abs=1e-15)
+        assert curve.values[i] == crossing_count_estimator(p, n, a)
+
+
+@pytest.mark.parametrize("hurst,seed", [(0.1, 101), (0.6, 202)],
+                         ids=["figure1", "figure2"])
+def test_crossing_curves_are_their_scalar_sums_on_the_preset_paths(hurst, seed):
+    """On the localtime presets' paths (2^14 steps, 400 levels), every
+    crossing curve is its correctly rounded scalar sum at every level, so
+    no level is above 0 where no interval crosses it."""
+    p = sample_fbm(FbmConfig(hurst=hurst, grid_n=2 ** 14, seed=seed))
+    part = dyadic_partition(1.0, 14)
+    levels = default_level_grid(p)
+
+    def curve(tag, gamma=0.0):
+        return local_time_curve(p, part, tag, levels, gamma=gamma,
+                                normalized=False).values
+
+    up = np.array([upcrossing_sum(p, part, a) for a in levels])
+    down = np.array([downcrossing_sum(p, part, a) for a in levels])
+    up_half = np.array([upcrossing_sum(p, part, a, 0.5) for a in levels])
+    assert (up > 0.0).any() and (up == 0.0).any()
+    assert (curve("upcross") == up).all()
+    assert (curve("upcross", 0.5) == up_half).all()
+    assert (curve("count", 0.5) == up).all()
+    assert (curve("bidirectional") == up + down).all()
 
 
 def test_normalization_scales():
@@ -256,6 +278,19 @@ def test_curve_unknown_estimator_and_bad_levels():
         local_time_curve(p, part, "upcross", np.array([0.0, 0.0, 1.0]))
     with pytest.raises(DomainError):
         local_time_curve(p, part, "occupation", bandwidth=-0.1)
+
+
+@pytest.mark.parametrize("estimator", ["upcross", "count", "excess",
+                                       "bidirectional", "occupation"])
+@pytest.mark.parametrize("levels", [
+    [[-1.0, 0.0], [0.5, 1.0]], [-1.0, math.nan, 1.0], [-math.inf, 0.0, 1.0],
+    [-1.0, 0.0, math.inf], [0.5], [], [1.0, 0.0, -1.0],
+], ids=["2d", "nan", "-inf", "inf", "one", "none", "decreasing"])
+def test_curve_rejects_malformed_level_grids(estimator, levels):
+    p = sample_fbm(FbmConfig(hurst=0.3, grid_n=64, seed=0))
+    with pytest.raises(ConfigurationError):
+        local_time_curve(p, uniform_partition(1.0, 64), estimator,
+                         np.array(levels))
 
 
 def test_curve_validation():

@@ -24,7 +24,7 @@ from fracsew import (
     split_seed,
 )
 from fracsew import numerics
-from fracsew.numerics import _exact_sum
+from fracsew.numerics import _exact_sum, _range_sums
 
 
 @given(st.floats(0.05, 50.0), st.floats(0.05, 50.0))
@@ -405,3 +405,74 @@ def test_exact_sum_uses_fsum_only_up_to_the_crossover(monkeypatch):
     assert _exact_sum(large) == math.fsum(large.tolist())
     # fsum only rounds the handful of exact partial sums
     assert len(log.lengths) == 1 and 1 <= log.lengths[0] <= 3
+
+
+def _range_fsum(x, lo, hi, n):
+    """The reference: math.fsum over each level's values."""
+    return np.array([math.fsum(x[(lo <= j) & (j < hi)].tolist()) for j in range(n)])
+
+
+def _ranges(rng, m, n):
+    lo = rng.integers(0, n + 1, m)
+    return lo, rng.integers(lo, n + 1)
+
+
+def _extract_passes(monkeypatch) -> list:
+    """Logs how many partials each _extract call returns (None for None)."""
+    passes = []
+    real = numerics._extract
+
+    def spy(*args):
+        out = real(*args)
+        passes.append(None if out is None else len(out))
+        return out
+
+    monkeypatch.setattr(numerics, "_extract", spy)
+    return passes
+
+
+@pytest.mark.parametrize("kind", ["normal", "positive", "spread250", "cancel", "ints"])
+def test_range_sums_are_fsum_level_by_level(kind, monkeypatch):
+    passes = _extract_passes(monkeypatch)
+    rng = np.random.default_rng(100 + _KINDS.index(kind))
+    for m, n in [(1, 1), (2, 3), (7, 5), (1000, 40), (5000, 400)]:
+        x = _summands(rng, kind, m)
+        lo, hi = _ranges(rng, m, n)
+        got = _range_sums(x, lo, hi, n)
+        assert got.tobytes() == _range_fsum(x, lo, hi, n).tobytes(), (kind, m, n)
+    if kind == "spread250":     # +-250 decades: many passes, then fsum's rows
+        assert passes[-1] >= 3
+
+
+def test_range_sums_round_half_ulp_ties_to_even():
+    """Every level holds base, half an ulp of it and pairs x, -x, so its
+    exact sum is a tie that the float addition base + ulp/2 rounds alike."""
+    rng = np.random.default_rng(5)
+    m, n = 300, 50
+    for base in (1.0, 1.0 + 2.0 ** -52, -3.0, 2.0 ** 60):
+        half = rng.standard_normal(m) * 10.0 ** rng.uniform(-5, 5, m)
+        x = np.concatenate([[base, math.ulp(base) / 2], half, -half])
+        lo, hi = _ranges(rng, m, n)
+        lo, hi = np.concatenate([[0, 0], lo, lo]), np.concatenate([[n, n], hi, hi])
+        got = _range_sums(x, lo, hi, n)
+        assert got.tobytes() == _range_fsum(x, lo, hi, n).tobytes()
+        assert (got == base + math.ulp(base) / 2).all()
+
+
+def test_range_sums_of_nothing_are_zero():
+    none = np.empty(0, dtype=np.int64)
+    assert _range_sums(np.empty(0), none, none, 4).tobytes() == np.zeros(4).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["spread", "big", "tiny"])
+def test_range_sums_fall_back_to_fsum_level_by_level(kind, monkeypatch):
+    """+-300 decades and a value of 2^-1020 leave a residual below 2^-960;
+    a value above 2^900 is never extracted."""
+    passes = _extract_passes(monkeypatch)
+    rng = np.random.default_rng(9)
+    m, n = 500, 30
+    x = _summands(rng, "spread" if kind == "spread" else "normal", m)
+    x[3] = {"spread": x[3], "big": 2.0 ** 901, "tiny": 2.0 ** -1020}[kind]
+    lo, hi = _ranges(rng, m, n)
+    assert _range_sums(x, lo, hi, n).tobytes() == _range_fsum(x, lo, hi, n).tobytes()
+    assert passes == [None]
