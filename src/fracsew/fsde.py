@@ -326,7 +326,7 @@ def holder_pair(delta: float, dim: int = 1, kappa: float = 0.5,
     return CoefficientPair(
         drift=drift, diffusion=sigma, dim=dim,
         name=f"holder(delta={delta:g},drift={drift_strength:g})",
-        drift_bound=2.0 * drift_strength if drift_strength else 0.0,
+        drift_bound=2.0 * abs(drift_strength),
         diffusion_bound=1.0 + kappa * (_HOLDER_RADIUS ** (1.0 + delta)) * 4.0,
         grad_holder_delta=delta)
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigurationError, DomainError
 from .fbm import FbmPath, _read_only, c_h
-from .numerics import _as_count, _exact_sum, _range_sums, normal_abs_moment
+from .numerics import (_as_count, _exact_sum, _level_sums, _range_sums,
+                       normal_abs_moment)
 from .sewing import Germ, Partition, _interval_values, riemann_sum
 
 __all__ = [
@@ -137,12 +138,11 @@ def crossing_count_estimator(path: FbmPath, n: int, a: float) -> float:
 
 def upcrossing_excess_sum(path: FbmPath, partition: Partition, a: float) -> float:
     """Endpoint-excess sum: |B_t - a|^(1/H - 1) over up-crossing intervals.
-
-    Dividing by H frak_c(H, 1/H - 1) estimates the local time at a.
-    """
+    Dividing by H frak_c(H, 1/H - 1) estimates the local time at a."""
     _check_one_dim(path)
     _, left, right = _interval_values(path, partition)
-    return _excess_at(left, right, a, 1.0 / path.hurst - 1.0)
+    return float(_excess_curve_values(left, right, 1.0 / path.hurst - 1.0,
+                                      np.array([a], dtype=float))[0])
 
 
 def occupation_density_estimator(path: FbmPath, a: float,
@@ -169,10 +169,12 @@ def default_level_grid(path: FbmPath, n_levels: int = 400,
                        pad: float = 0.1) -> np.ndarray:
     """Uniform spatial grid spanning the path range, padded by ``pad`` of it."""
     n_levels = _as_count(n_levels, "n_levels", 2)
-    lo = float(np.min(path.values))
-    hi = float(np.max(path.values))
-    width = max(hi - lo, 1e-8)
-    return np.linspace(lo - pad * width, hi + pad * width, n_levels)
+    lo, hi = float(np.min(path.values)), float(np.max(path.values))
+    grid = np.linspace(lo - pad * (hi - lo), hi + pad * (hi - lo), n_levels)
+    if not (np.isfinite(grid).all() and np.all(np.diff(grid) > 0.0)):
+        raise ConfigurationError(f"the path's range {hi - lo:g} at offset {lo:g} "
+                                 f"cannot hold {n_levels} distinct levels")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -214,21 +216,50 @@ def _check_level_grid(levels: np.ndarray) -> np.ndarray:
     return levels
 
 
+def _level_index(levels, keys, side):
+    """Indices of ``keys`` in nondecreasing ``levels`` as numpy's searchsorted gives
+    them, by one argsort of the keys and a search of the levels among them."""
+    order = np.argsort(keys)
+    found = np.searchsorted(keys[order], levels, "right" if side == "left" else "left")
+    index = np.empty(keys.size, dtype=np.intp)
+    index[order] = np.cumsum(np.bincount(found, minlength=keys.size + 1))[:keys.size]
+    return index
+
+
 def _crossing_curve_values(low, high, dt, hurst, gamma, levels):
     """Correctly rounded sums, per level, of the crossing weights of the
     intervals from ``low`` up to ``high`` over the levels strictly between.
     Up-crossings pass (left, right); down-crossings pass (right, left)."""
     keep = high > low
-    lo = np.searchsorted(levels, low[keep], side="right")
-    hi = np.searchsorted(levels, high[keep], side="left")
+    lo = _level_index(levels, low[keep], "right")
+    hi = _level_index(levels, high[keep], "left")
     w = _crossing_weight(dt[keep], high[keep] - low[keep], hurst, gamma)
     return _range_sums(w, lo, hi, levels.size)
 
 
-def _excess_at(left, right, a, p):
-    """|B_t - a|^p summed over the intervals with B_s < a < B_t."""
-    mask = (left < a) & (a < right)
-    return _exact_sum(np.abs(right[mask] - a) ** p)
+_EXCESS_BLOCK = 2 ** 15     # most (level, interval) pairs an excess block expands
+
+
+def _excess_curve_values(left, right, p, levels):
+    """Correctly rounded sums, per level a, of |B_t - a|^p over the intervals with
+    B_s < a < B_t, in level blocks of at most _EXCESS_BLOCK pairs or one level."""
+    keep, n = right > left, levels.size
+    lo = _level_index(levels, left[keep], "right")
+    hi = _level_index(levels, right[keep], "left")
+    right, out, j0 = right[keep], np.zeros(n), 0
+    depth = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))
+    below = np.concatenate(([0], np.cumsum(depth[:n])))    # pairs under level j
+    while j0 < n:
+        j1 = max(int(np.searchsorted(below, below[j0] + _EXCESS_BLOCK, "right")) - 1, j0 + 1)
+        if below[j1] > below[j0]:
+            a = np.maximum(lo, j0)
+            count = np.maximum(np.minimum(hi, j1) - a, 0)
+            # each interval's pairs: a run of count levels from a
+            level = np.arange(count.sum()) + np.repeat(a - np.cumsum(count) + count, count)
+            out[j0:j1] = _level_sums(np.abs(np.repeat(right, count) - levels[level]) ** p,
+                                     level - j0, j1 - j0)
+        j0 = j1
+    return out
 
 
 def local_time_curve(path: FbmPath, partition: Partition, estimator: str,
@@ -260,15 +291,13 @@ def local_time_curve(path: FbmPath, partition: Partition, estimator: str,
         # the time (left-endpoint rule) with a - bw <= B_k <= a + bw, a sum
         # over the levels of fl(a + bw) >= B_k and fl(a - bw) <= B_k
         b = path.values[:-1]
-        lo = np.searchsorted(levels + bw, b, side="left")
-        hi = np.searchsorted(levels - bw, b, side="right")
+        lo = _level_index(levels + bw, b, "left")
+        hi = _level_index(levels - bw, b, "right")
         values = _range_sums(np.diff(path.times), lo, hi, levels.size) / (2.0 * bw)
         n, scale, tag = path.grid_n, 1.0, f"occupation(bw={bw:.6g})"
     elif estimator == "excess":
-        _, left, right = _interval_values(path, partition)
-        keep, p = right > left, 1.0 / H - 1.0
-        ls, rs = left[keep], right[keep]
-        values = np.array([_excess_at(ls, rs, a, p) for a in levels])
+        p = 1.0 / H - 1.0
+        values = _excess_curve_values(*_interval_values(path, partition)[1:], p, levels)
         scale, tag = H * frak_c(H, p), "excess"
     elif estimator in ("upcross", "count", "bidirectional"):
         dt, left, right = _interval_values(path, partition)

@@ -290,19 +290,32 @@ def _exact_sum(values: np.ndarray) -> float:
 def _range_sums(values: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 n: int) -> np.ndarray:
     """For each j < n, the correctly rounded sum of the values[k] with
-    lo[k] <= j < hi[k] (lo and hi in [0, n]).
-
-    :func:`_extract` reduces q by ``np.cumsum`` of the difference array
-    ``np.bincount`` builds from +q at lo and -q at hi: exact, as each sum
-    has at most 2 len(values) parts.  One float addition rounds up to two
-    partials, math.fsum more; where they are None, fsum level by level.
-    """
-    x = np.asarray(values, dtype=float)
+    lo[k] <= j < hi[k] (lo and hi in [0, n]).  :func:`_extract` reduces q
+    by ``np.cumsum`` of the difference array ``np.bincount`` builds from +q
+    at lo and -q at hi: exact, as each sum has at most 2 len(values) parts."""
     at = np.concatenate([lo, hi])
-    partials = _extract(x, 2 * x.size, lambda q: np.cumsum(np.bincount(
-        at, np.concatenate([q, -q]), minlength=n + 1)[:n]))
+    return _rounded_sums(values, 2 * len(lo), lambda q: np.cumsum(np.bincount(
+        at, np.concatenate([q, -q]), minlength=n + 1)[:n]),
+        lambda j: (lo <= j) & (j < hi), n)
+
+
+def _level_sums(values: np.ndarray, level: np.ndarray, n: int) -> np.ndarray:
+    """For each j < n, the correctly rounded sum of the values[k] with
+    level[k] == j.  :func:`_extract` reduces q by ``np.bincount`` at level:
+    exact, as each sum has at most as many parts as the fullest level."""
+    return _rounded_sums(values, int(np.bincount(level, minlength=1).max()),
+                         lambda q: np.bincount(level, q, minlength=n),
+                         lambda j: level == j, n)
+
+
+def _rounded_sums(values: np.ndarray, parts: int, reduce, member, n: int) -> np.ndarray:
+    """The n sums whose exact partials :func:`_extract` gives, correctly
+    rounded: one float addition up to two partials, math.fsum for more.
+    Where they are None, math.fsum of values[member(j)] level by level."""
+    x = np.asarray(values, dtype=float)
+    partials = _extract(x, parts, reduce)
     if partials is None:
-        return np.array([math.fsum(x[(lo <= j) & (j < hi)].tolist()) for j in range(n)])
+        return np.array([math.fsum(x[member(j)].tolist()) for j in range(n)])
     if len(partials) <= 2:
         return partials[0] if len(partials) == 1 else partials[0] + partials[1]
     return np.array([math.fsum(row) for row in np.column_stack(partials).tolist()])

@@ -261,6 +261,13 @@ def test_localtime_run(tmp_path):
     assert (out / "cumulative.svg").exists()
 
 
+def test_localtime_constant_path_is_a_configuration_error(tmp_path, capsys):
+    """var0=1e308 makes the path constant to double precision."""
+    cfgfile = _write_cfg(tmp_path, "c.cfg", hurst="0.3", grid_exp="6", var0="1e308")
+    assert main(["localtime", "--config", cfgfile, "--out", str(tmp_path / "o")]) == 2
+    assert "the path's range 0 at offset" in capsys.readouterr().err
+
+
 def _read_curve(path):
     table = read_table(str(path))
     return table.rows[:, 0], table.rows[:, 1], table.meta

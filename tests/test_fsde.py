@@ -359,11 +359,14 @@ def test_verify_norm_bounds():
 
 
 def test_holder_pair_metadata():
-    pair = holder_pair(0.3, drift_strength=0.25)
-    assert pair.grad_holder_delta == 0.3
-    assert "holder(delta=0.3" in pair.name
-    checked = verify_norm_bounds(pair)
-    assert checked["drift"] and checked["diffusion"]
+    for strength in (0.25, -1.0):
+        pair = holder_pair(0.3, drift_strength=strength)
+        assert pair.grad_holder_delta == 0.3
+        assert "holder(delta=0.3" in pair.name
+        # sup|f| + sup|f'| of -s tanh(x) is 2|s|
+        assert pair.drift_bound == 2.0 * abs(strength)
+        checked = verify_norm_bounds(pair)
+        assert checked["drift"] and checked["diffusion"]
 
 
 def test_bounded_drift_shape():

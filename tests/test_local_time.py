@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsew import (
     AlignmentError,
@@ -30,7 +32,9 @@ from fracsew import (
     upcrossing_sum,
     validate_m_condition,
 )
-from fracsew.local_time import LocalTimeCurve
+from fracsew import local_time
+from fracsew.local_time import LocalTimeCurve, _level_index
+from fracsew.sewing import _interval_values
 
 
 def downcrossing_sum(path, partition, a, gamma=0.0):
@@ -257,6 +261,52 @@ def test_crossing_curves_are_their_scalar_sums_on_the_preset_paths(hurst, seed):
     assert (curve("bidirectional") == up + down).all()
 
 
+def _excess_fsum(p, part, levels):
+    """The reference: math.fsum, level by level, of |B_t - a|^(1/H - 1)
+    over the intervals with B_s < a < B_t."""
+    _, left, right = _interval_values(p, part)
+    q = 1.0 / p.hurst - 1.0
+    return np.array([math.fsum((np.abs(right[(left < a) & (a < right)] - a) ** q).tolist())
+                     for a in levels])
+
+
+@pytest.mark.parametrize("hurst,seed,exp", [(0.1, 101, 14), (0.6, 202, 14),
+                                            (0.3, 7, 12), (0.9, 3, 12)],
+                         ids=["figure1", "figure2", "H0.3", "H0.9"])
+def test_excess_curve_is_fsum_level_by_level(hurst, seed, exp, monkeypatch):
+    """At every level, in blocks of 2^15, 7 or 1 (level, interval) pairs:
+    1 and 7 put over-full levels in blocks of their own and block edges
+    mid-grid.  A grid above the path is crossed by no interval."""
+    p = sample_fbm(FbmConfig(hurst=hurst, grid_n=2 ** exp, seed=seed))
+    part = dyadic_partition(1.0, exp)
+    levels = default_level_grid(p)
+    want = _excess_fsum(p, part, levels)
+    assert (want > 0.0).any() and (want == 0.0).any()
+    for block in (local_time._EXCESS_BLOCK, 7, 1):
+        monkeypatch.setattr(local_time, "_EXCESS_BLOCK", block)
+        got = local_time_curve(p, part, "excess", levels, normalized=False).values
+        assert (got == want).all(), block
+    for a, w in zip(levels[::37], want[::37]):
+        assert upcrossing_excess_sum(p, part, a) == w
+    above = levels - levels[0] + 1.0 + p.values.max()
+    nothing = local_time_curve(p, part, "excess", above, normalized=False).values
+    assert nothing.tobytes() == np.zeros(levels.size).tobytes()
+
+
+_FEW = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(levels=st.lists(_FEW | st.floats(-4.0, 4.0), max_size=12).map(sorted),
+       keys=st.lists(_FEW | st.floats(-5.0, 5.0), max_size=40))
+def test_level_index_is_searchsorted(levels, keys):
+    """Random keys, keys equal to levels, repeated levels, no keys."""
+    levels, keys = np.array(levels, dtype=float), np.array(keys, dtype=float)
+    for side in ("left", "right"):
+        want = np.searchsorted(levels, keys, side=side)
+        assert np.array_equal(_level_index(levels, keys, side), want), side
+
+
 def test_normalization_scales():
     p = sample_fbm(FbmConfig(hurst=0.3, grid_n=2 ** 9, seed=35))
     part = dyadic_partition(1.0, 9)
@@ -318,6 +368,28 @@ def test_default_level_grid_shape():
     for bad in (1, True, 11.0):
         with pytest.raises(ConfigurationError):
             default_level_grid(p, n_levels=bad)
+
+
+@pytest.mark.parametrize("horizon", [1e-300, 1e-30])
+def test_default_level_grid_spans_tiny_paths(horizon):
+    """The grid pads the path's own range, however small: the occupation
+    and up-crossing curves on it integrate to about T."""
+    p = sample_fbm(FbmConfig(hurst=0.3, grid_n=2 ** 12, horizon=horizon, seed=0))
+    levels = default_level_grid(p)
+    width = p.values.max() - p.values.min()
+    assert levels[0] == pytest.approx(p.values.min() - 0.1 * width)
+    part = dyadic_partition(horizon, 12)
+    for tag in ("occupation", "upcross"):
+        curve = local_time_curve(p, part, tag, levels)
+        assert curve.trapezoid_integral() == pytest.approx(horizon, rel=0.03), tag
+
+
+def test_default_level_grid_needs_room_for_its_levels():
+    p = _synthetic([1e16, 1e16 + 2.0, 1e16])
+    with pytest.raises(ConfigurationError, match="range 2 at offset 1e\\+16"):
+        default_level_grid(p)
+    # with two levels there is room: the padding rounds onto the ends
+    assert default_level_grid(p, n_levels=2).tolist() == [1e16, 1e16 + 2.0]
 
 
 def test_trapezoid_integral_recovers_occupation_mass():
