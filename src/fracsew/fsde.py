@@ -413,6 +413,7 @@ def uniqueness_probe(hurst: float, delta: float, *, x0: float = 0.1,
     without a plateau; branching (non-uniqueness) would show up as distances
     that stop shrinking.
     """
+    thresholds = delta_thresholds(hurst)
     levels = tuple(int(l) for l in mesh_levels)
     scales = tuple(float(s) for s in scales)
     if len(levels) < 2 or len(scales) < 2:
@@ -490,7 +491,7 @@ def uniqueness_probe(hurst: float, delta: float, *, x0: float = 0.1,
     return ProbeReport(
         hurst=hurst, delta=float(delta), coefficient_name=coeffs.name,
         x0=float(x0), levels=levels, scales=scales, replicas=replicas,
-        thresholds=delta_thresholds(hurst), pair_table=pair_table,
+        thresholds=thresholds, pair_table=pair_table,
         diag_levels=tuple(c[0] for c in diag),
         diag_scales=tuple(c[1] for c in diag),
         diag_distances=diag_d, fitted_decay=fitted,

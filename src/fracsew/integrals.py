@@ -54,8 +54,8 @@ class IntegrandSpec:
     ``holder_gamma``) or ``"gradient"`` (with ``potential`` such that the
     integrand is its derivative/gradient).  ``jumps`` lists state-space
     discontinuity locations so expectation routines can hand exact break
-    points to the quadrature; ``discontinuous`` integrands are averaged by
-    density quadrature rather than Gauss--Hermite.
+    points to the quadrature; integrands with jumps are averaged by density
+    quadrature rather than Gauss--Hermite.
     """
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
@@ -63,7 +63,6 @@ class IntegrandSpec:
     regularity: str = "bounded"
     holder_gamma: float | None = None
     potential: Callable[[np.ndarray], float] | None = None
-    discontinuous: bool = False
     jumps: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -88,16 +87,14 @@ def get_integrand(tag: str) -> IntegrandSpec:
                              potential=lambda x: 0.5 * float(x) ** 2)
     if tag == "sign":
         return IntegrandSpec("sign", lambda x: np.sign(x),
-                             regularity="bounded", discontinuous=True,
-                             jumps=(0.0,))
+                             regularity="bounded", jumps=(0.0,))
     if tag == "sin_prime":
         return IntegrandSpec("sin_prime", np.cos, regularity="gradient",
                              potential=lambda x: math.sin(float(x)))
     if tag == "indicator_pos":
         return IntegrandSpec("indicator_pos",
                              lambda x: (np.asarray(x) > 0.0).astype(float),
-                             regularity="bounded", discontinuous=True,
-                             jumps=(0.0,))
+                             regularity="bounded", jumps=(0.0,))
     if tag.startswith("abs_pow:"):
         gamma = float(tag.split(":", 1)[1])
         if not 0.0 < gamma <= 1.0:
@@ -184,18 +181,17 @@ def chain_rule_oracle(f: IntegrandSpec, path: FbmPath) -> float:
 
 def gaussian_smooth_F(fn: Callable[[np.ndarray], np.ndarray],
                       mu: float, sigma: float, *,
-                      discontinuous: bool = False,
                       jumps: tuple[float, ...] = ()) -> float:
     """E[fn(mu + sigma Z)], Z standard normal.
 
-    Smooth integrands go through 64-node Gauss--Hermite; discontinuous ones
-    through density quadrature (tol 1e-10) split at the jump locations.
+    Integrands without jumps go through 64-node Gauss--Hermite; those with
+    jumps through density quadrature (tol 1e-10) split at the jump locations.
     """
     if sigma < 0.0:
         raise DomainError(f"sigma must be nonnegative, got {sigma!r}")
     if sigma == 0.0:
         return float(fn(np.float64(mu)))
-    if not discontinuous:
+    if not jumps:
         return gauss_hermite_expect(fn, mu, sigma, order=64)
     # integrate fn(mu + sigma x) phi(x) over |x| <= 12, splitting at jumps
     cut = 12.0
@@ -249,11 +245,9 @@ def conditional_ito_oracle(f: IntegrandSpec, path: FbmPath,
         return 0.0
     mom = conditional_increment_moments(tv, ts, tt, path.hurst)
     sig = mom.sigma_s
-    a0 = gaussian_smooth_F(f.fn, y_s, sig, discontinuous=f.discontinuous,
-                           jumps=f.jumps)
+    a0 = gaussian_smooth_F(f.fn, y_s, sig, jumps=f.jumps)
     weighted = lambda z: np.asarray(f.fn(z), dtype=float) * (np.asarray(z, dtype=float) - y_s)
-    a1 = gaussian_smooth_F(weighted, y_s, sig, discontinuous=f.discontinuous,
-                           jumps=f.jumps) / mom.sigma_s_sq
+    a1 = gaussian_smooth_F(weighted, y_s, sig, jumps=f.jumps) / mom.sigma_s_sq
     return a0 * (y_t - y_s) + a1 * mom.rho_st
 
 

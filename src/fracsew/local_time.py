@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigurationError, DomainError
 from .fbm import FbmPath, _read_only, c_h
-from .numerics import (_as_count, _exact_sum, _level_sums, _range_sums,
-                       normal_abs_moment)
+from .numerics import _as_count, _level_sums, _range_sums, normal_abs_moment
 from .sewing import Germ, Partition, _interval_values, riemann_sum
 
 __all__ = [
@@ -149,15 +148,12 @@ def occupation_density_estimator(path: FbmPath, a: float,
                                  bandwidth: float) -> float:
     """Kernel occupation-density estimate at level a.
 
-    Time spent (left-endpoint rule on the path's own grid) within
-    ``bandwidth`` of a, divided by the window width 2*bandwidth.
+    Time spent (left-endpoint rule on the path's own grid) with
+    fl(a - bandwidth) <= B <= fl(a + bandwidth), divided by the window
+    width 2*bandwidth: the occupation curve's value at the level a.
     """
-    if not bandwidth > 0.0:
-        raise DomainError(f"bandwidth must be positive, got {bandwidth!r}")
     _check_one_dim(path)
-    dt = np.diff(path.times)
-    inside = np.abs(path.values[:-1] - a) <= bandwidth
-    return _exact_sum(dt[inside]) / (2.0 * bandwidth)
+    return float(_occupation_values(path, np.array([a], dtype=float), bandwidth)[0])
 
 
 def default_bandwidth(path: FbmPath) -> float:
@@ -262,6 +258,17 @@ def _excess_curve_values(left, right, p, levels):
     return out
 
 
+def _occupation_values(path, levels, bw):
+    """Per level a, the time (left-endpoint rule) with fl(a - bw) <= B_k <=
+    fl(a + bw), correctly rounded, divided by the window width 2 bw."""
+    if not bw > 0.0:
+        raise DomainError(f"bandwidth must be positive, got {bw!r}")
+    b = path.values[:-1]
+    lo = _level_index(levels + bw, b, "left")
+    hi = _level_index(levels - bw, b, "right")
+    return _range_sums(np.diff(path.times), lo, hi, levels.size) / (2.0 * bw)
+
+
 def local_time_curve(path: FbmPath, partition: Partition, estimator: str,
                      levels: np.ndarray | None = None, *,
                      gamma: float = 0.0, bandwidth: float | None = None,
@@ -286,14 +293,7 @@ def local_time_curve(path: FbmPath, partition: Partition, estimator: str,
     H, n, g = path.hurst, partition.n_intervals, 0.0 if estimator == "count" else gamma
     if estimator == "occupation":
         bw = default_bandwidth(path) if bandwidth is None else float(bandwidth)
-        if not bw > 0.0:
-            raise DomainError(f"bandwidth must be positive, got {bw!r}")
-        # the time (left-endpoint rule) with a - bw <= B_k <= a + bw, a sum
-        # over the levels of fl(a + bw) >= B_k and fl(a - bw) <= B_k
-        b = path.values[:-1]
-        lo = _level_index(levels + bw, b, "left")
-        hi = _level_index(levels - bw, b, "right")
-        values = _range_sums(np.diff(path.times), lo, hi, levels.size) / (2.0 * bw)
+        values = _occupation_values(path, levels, bw)
         n, scale, tag = path.grid_n, 1.0, f"occupation(bw={bw:.6g})"
     elif estimator == "excess":
         p = 1.0 / H - 1.0

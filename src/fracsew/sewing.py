@@ -311,6 +311,8 @@ def estimate_convergence_rate(germ: Germ,
     if sorted(set(levels)) != levels:
         raise ConfigurationError("levels must be strictly increasing")
     replicas = _as_count(replicas, "replicas", 2)
+    if not m >= 1.0:
+        raise DomainError(f"m must be >= 1, got {m!r}")
     n = config.grid_n
     if n & (n - 1) or n < 2 ** levels[-1]:
         raise ConfigurationError(

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,6 +11,7 @@ import fracsew
 import fracsew.fbm
 from fracsew import ConfigurationError, NumericalError, RegimeWarning
 from fracsew.cli import (
+    COMMANDS,
     _parse_level_list,
     _parse_scales,
     config_hash,
@@ -75,6 +77,47 @@ def test_effective_config_errors(tmp_path):
     notnum = _write_cfg(tmp_path, "n.cfg", hurst="smooth")
     with pytest.raises(ConfigurationError, match="valid float"):
         effective_config("sample", None, notnum, None)
+
+
+def test_effective_config_defaults_are_pinned(tmp_path):
+    """Each command's config with only its required keys set: every default,
+    with its type, as the command runs it."""
+    want = {
+        "sample": {"hurst": 0.3, "horizon": 1.0, "seed": 0, "method": "circulant",
+                   "var0": 0.0, "grid_exp": 10, "dim": 1},
+        "localtime": {"hurst": 0.3, "horizon": 1.0, "seed": 0,
+                      "method": "circulant", "var0": 0.0, "grid_exp": 12,
+                      "estimator": "all", "gamma": 0.0, "a": 0.0,
+                      "n_levels": 400},
+        "rate": {"germ": "additive", "hurst": 0.3, "horizon": 1.0, "seed": 0,
+                 "method": "circulant", "var0": 0.0, "levels": "4:9", "m": 2.0,
+                 "replicas": 64, "a": 0.0, "gamma": 0.0},
+        "sde": {"mode": "both", "case": "a", "hurst": 0.75, "delta": 0.25,
+                "x0": 0.1, "levels": "8:11", "scales": "3:6", "replicas": 12,
+                "horizon": 1.0, "seed": 0, "kappa": 0.5, "drift_strength": 0.5},
+    }
+    required = {"sample": {"hurst": "0.3"}, "localtime": {"hurst": "0.3"},
+                "rate": {"germ": "additive", "hurst": "0.3"}, "sde": {}}
+    assert set(COMMANDS) == set(want)
+    for command, keys in required.items():
+        cfg = effective_config(command, None,
+                               _write_cfg(tmp_path, f"{command}.cfg", **keys), None)
+        assert cfg == want[command]
+        assert {k: type(v) for k, v in cfg.items()} == {
+            k: type(v) for k, v in want[command].items()}
+
+
+def test_readme_lists_every_config_key():
+    """README's "Keys by command" table names exactly each command's keys
+    (the parenthesized notes after a key are not keys)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    section = readme[readme.index("Keys by command:"):]
+    listed = {}
+    for name, cell in re.findall(r"^\| `(\w+)` +\| (.*) \|$", section, re.M):
+        listed[name] = set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cell)))
+    assert listed == {name: set(c.keys) for name, c in COMMANDS.items()}
 
 
 def test_config_hash_sensitivity():
@@ -181,6 +224,32 @@ def test_rate_rejects_level_zero(tmp_path, monkeypatch):
     assert not (out / "rate.csv").exists()
 
 
+_SDE_BOTH = {"mode": "both", "levels": "5:6", "scales": "3:4", "replicas": "2"}
+
+
+@pytest.mark.parametrize("command,settings", [
+    ("sde", {**_SDE_BOTH, "case": "zzz"}),
+    ("sde", {**_SDE_BOTH, "scales": "a:b"}),
+    ("sde", {**_SDE_BOTH, "case": "b", "kappa": "1.5"}),
+    ("sde", {**_SDE_BOTH, "hurst": "0.4"}),
+    ("localtime", {"hurst": "0.3", "grid_exp": "6", "bandwidth": "-1"}),
+    ("localtime", {"hurst": "0.3", "grid_exp": "6", "estimator": "bogus"}),
+    ("localtime", {"hurst": "0.3", "grid_exp": "6", "partition_exp": "8"}),
+    ("rate", {"germ": "ito:sign", "hurst": "0.75", "levels": "6:12",
+              "replicas": "200", "m": "0.5"}),
+    ("rate", {"germ": "magic", "hurst": "0.5"}),
+], ids=["sde-case", "sde-scales", "sde-case_b_kappa", "sde-hurst",
+        "localtime-bandwidth", "localtime-estimator", "localtime-partition_exp",
+        "rate-m", "rate-germ"])
+def test_rejected_config_writes_no_file(tmp_path, command, settings):
+    """A command that exits 2 has written nothing: it checks every value
+    before it writes its first file."""
+    cfgfile = _write_cfg(tmp_path, "c.cfg", **settings)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfgfile, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_sample_rejects_subnormal_step(tmp_path):
     cfgfile = _write_cfg(tmp_path, "c.cfg", hurst="0.3", grid_exp="12",
                          horizon="1e-320")
@@ -223,7 +292,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_oracle_path_leaves_scipy_unloaded():
-    # the sign integrand takes gaussian_smooth_F's discontinuous branch
+    # the sign integrand's jump takes gaussian_smooth_F's quadrature branch
     assert _python_output(
         "import sys, fracsew as fs\n"
         "fs.conditional_increment_moments(0.25, 0.5, 0.625, 0.3)\n"
@@ -271,13 +340,6 @@ def test_localtime_constant_path_is_a_configuration_error(tmp_path, capsys):
 def _read_curve(path):
     table = read_table(str(path))
     return table.rows[:, 0], table.rows[:, 1], table.meta
-
-
-def test_localtime_partition_gate(tmp_path):
-    cfgfile = _write_cfg(tmp_path, "c.cfg", hurst="0.3", grid_exp="6",
-                         partition_exp="8")
-    assert main(["localtime", "--config", cfgfile,
-                 "--out", str(tmp_path / "o")]) == 2
 
 
 def test_rate_additive_is_exact(tmp_path):
@@ -329,12 +391,6 @@ def test_rate_writes_a_finite_stderr_at_a_huge_horizon(tmp_path):
     assert np.isfinite(table.rows).all()
     assert (table.rows[:-1, 2] > 0.0).all()
     assert main(["report", "--out", str(out)]) == 0
-
-
-def test_rate_unknown_germ(tmp_path):
-    cfgfile = _write_cfg(tmp_path, "c.cfg", germ="magic", hurst="0.5")
-    assert main(["rate", "--config", cfgfile,
-                 "--out", str(tmp_path / "o")]) == 2
 
 
 def test_sde_thresholds_table(tmp_path):

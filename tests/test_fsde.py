@@ -409,6 +409,15 @@ def test_probe_rejects_levels_below_one():
             uniqueness_probe(0.75, 0.3, mesh_levels=bad, scales=(0.25, 0.125))
 
 
+def test_probe_rejects_hurst_below_one_half_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the hurst check")
+    monkeypatch.setattr(fsde, "sample_fbm", no_sampling)
+    with pytest.raises(DomainError, match="1/2, 1"):
+        uniqueness_probe(0.4, 0.3, mesh_levels=(5, 6), scales=(0.25, 0.125),
+                         replicas=2)
+
+
 def test_probe_constant_coefficients_collapse():
     """Mollification is exact and refinement is exact: all cells coincide."""
     rep = uniqueness_probe(0.75, 0.3, coeffs=constant_pair(1.0),

@@ -37,7 +37,7 @@ def test_registry_builtins():
     assert ident.regularity == "gradient"
     assert ident.potential(3.0) == pytest.approx(4.5)
     sgn = get_integrand("sign")
-    assert sgn.discontinuous and sgn.jumps == (0.0,)
+    assert sgn.jumps == (0.0,)
     assert sgn.fn(np.array([-2.0, 3.0])).tolist() == [-1.0, 1.0]
     cosf = get_integrand("sin_prime")
     assert cosf.potential(0.0) == 0.0
@@ -111,7 +111,7 @@ def test_trapezoid_dimension_gate():
     p = sample_fbm(FbmConfig(hurst=0.2, grid_n=8, seed=1, dim=2))
     f = get_integrand("sign")
     bad = type(f)(name="sign2", fn=f.fn, dim=2, regularity="bounded",
-                  discontinuous=True, jumps=(0.0,))
+                  jumps=(0.0,))
     with pytest.raises(DomainError):
         stratonovich_trapezoid_sum(bad, p, uniform_partition(1.0, 8))
 
@@ -195,8 +195,7 @@ def test_gaussian_smooth_smooth_function():
 def test_gaussian_smooth_sign_closed_form():
     sgn = get_integrand("sign")
     for mu, sigma in [(0.3, 0.5), (-0.2, 1.3), (0.0, 0.7), (2.0, 0.1)]:
-        got = gaussian_smooth_F(sgn.fn, mu, sigma, discontinuous=True,
-                                jumps=sgn.jumps)
+        got = gaussian_smooth_F(sgn.fn, mu, sigma, jumps=sgn.jumps)
         assert got == pytest.approx(math.erf(mu / (sigma * math.sqrt(2.0))),
                                     abs=1e-9)
 
@@ -210,7 +209,7 @@ def test_gaussian_smooth_degenerate_and_domain():
 def test_gaussian_smooth_indicator_closed_form():
     ind = get_integrand("indicator_pos")
     # P(mu + sigma Z > 0) = Phi(mu/sigma)
-    got = gaussian_smooth_F(ind.fn, 0.4, 0.9, discontinuous=True, jumps=ind.jumps)
+    got = gaussian_smooth_F(ind.fn, 0.4, 0.9, jumps=ind.jumps)
     want = 0.5 * (1.0 + math.erf(0.4 / (0.9 * math.sqrt(2.0))))
     assert got == pytest.approx(want, abs=1e-9)
 

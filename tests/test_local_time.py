@@ -216,15 +216,12 @@ def test_curve_matches_scalar_estimators():
     bi = local_time_curve(p, part, "bidirectional", levels, gamma=0.0,
                           normalized=False)
     occ = local_time_curve(p, part, "occupation", levels, bandwidth=0.05)
-    # occupation stays approximate: its scalar tests |B - a| <= bw, another
-    # floating-point predicate than a - bw <= B <= a + bw
     for i, a in enumerate(levels):
         assert up.values[i] == upcrossing_sum(p, part, a, gamma=0.5)
         assert exc.values[i] == upcrossing_excess_sum(p, part, a)
         assert bi.values[i] == (upcrossing_sum(p, part, a)
                                 + downcrossing_sum(p, part, a))
-        assert occ.values[i] == pytest.approx(
-            occupation_density_estimator(p, a, 0.05), rel=1e-12, abs=1e-15)
+        assert occ.values[i] == occupation_density_estimator(p, a, 0.05)
 
 
 def test_count_curve_matches_scalar_count():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracsew.sewing
 from fracsew import (
     AlignmentError,
     CapabilityError,
@@ -564,6 +565,16 @@ def test_rate_warns_only_when_declared_exponents_fail():
         estimate_convergence_rate(ito_germ(sign, hurst=0.75),
                                   FbmConfig(hurst=0.75, grid_n=2 ** 12, seed=0),
                                   levels=range(6, 13), replicas=4)
+
+
+def test_rate_rejects_m_below_one_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the m check")
+    monkeypatch.setattr(fracsew.sewing, "sample_fbm", no_sampling)
+    with pytest.raises(DomainError, match="m must be >= 1"):
+        estimate_convergence_rate(ito_germ(get_integrand("sign"), 0.75),
+                                  FbmConfig(hurst=0.75, grid_n=2 ** 12, seed=0),
+                                  levels=range(6, 13), m=0.5, replicas=200)
 
 
 def test_rate_validation():
